@@ -77,8 +77,7 @@ FuzzOutcome
 evalFuzzCase(const Program &prog, const std::string &text,
              uint64_t seed, const FuzzCase &c,
              const FaultConfig *faults, bool oracle_mode,
-             uint64_t budget_cycles, const std::atomic<bool> *cancel,
-             EngineKind engine)
+             uint64_t budget_cycles, const std::atomic<bool> *cancel)
 {
     FuzzOutcome out;
     if (faults) {
@@ -98,10 +97,8 @@ evalFuzzCase(const Program &prog, const std::string &text,
         if (budget_cycles)
             out.cc.maxCycles = budget_cycles;
         out.cc.cancel = cancel;
-        out.cc.engine = engine;
         CheckOutcome res = runChecked(out.cc);
         out.cc.cancel = nullptr; // repro payloads stay runtime-free
-        out.cc.engine = EngineKind::Default;
         out.ok = res.clean();
         if (!out.ok) {
             out.run = res.run;
@@ -133,7 +130,6 @@ evalFuzzCase(const Program &prog, const std::string &text,
     if (budget_cycles)
         opts.maxCycles = budget_cycles;
     opts.cancel = cancel;
-    opts.engine = engine;
     Simulator sim(prog, c.arch, cfg, *policy, trace, opts);
     out.run = sim.run();
     out.ok = out.run.completed && out.run.validated;

@@ -74,16 +74,13 @@ struct FuzzOutcome
  * Evaluate one (program, case) pair. `budget_cycles` (when nonzero)
  * overrides the simulated-cycle budget so the campaign watchdog can
  * retry with doubled budgets; `cancel` (when non-null) is threaded
- * into the run so a service deadline can abandon it mid-simulation;
- * `engine` selects the execution engine (a host-side speed knob --
- * both engines are bit-identical, so outcomes never depend on it).
+ * into the run so a service deadline can abandon it mid-simulation.
  */
 FuzzOutcome evalFuzzCase(const Program &prog, const std::string &text,
                          uint64_t seed, const FuzzCase &c,
                          const FaultConfig *faults, bool oracle_mode,
                          uint64_t budget_cycles = 0,
-                         const std::atomic<bool> *cancel = nullptr,
-                         EngineKind engine = EngineKind::Default);
+                         const std::atomic<bool> *cancel = nullptr);
 
 } // namespace nvmr
 

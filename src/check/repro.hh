@@ -20,7 +20,6 @@
 #include "power/policy.hh"
 #include "power/trace.hh"
 #include "sim/config.hh"
-#include "sim/engine.hh"
 
 namespace nvmr
 {
@@ -51,11 +50,6 @@ struct CheckCase
     /** Cooperative cancel flag threaded into RunOptions::cancel;
      *  runtime-only (never serialized into the repro format). */
     const std::atomic<bool> *cancel = nullptr;
-
-    /** Execution engine threaded into RunOptions::engine. Both
-     *  engines are bit-identical, so this is a host-side speed knob:
-     *  runtime-only, never serialized into the repro format. */
-    EngineKind engine = EngineKind::Default;
 
     /** iisa source, embedded verbatim. */
     std::string programText;

@@ -183,7 +183,6 @@ runReference(const CheckCase &c, uint64_t stride)
     opts.maxCycles = ref_case.maxCycles;
     opts.faults = ref_case.faults;
     opts.cancel = ref_case.cancel;
-    opts.engine = ref_case.engine;
     opts.validate = false;
 
     CheckReference out;
@@ -210,7 +209,6 @@ runChecked(const CheckCase &c, const OracleResult *oracle,
     opts.maxCycles = c.maxCycles;
     opts.faults = c.faults;
     opts.cancel = c.cancel;
-    opts.engine = c.engine;
     // The oracle diff below subsumes (and extends) the built-in
     // golden comparison; skipping it avoids a redundant continuous
     // run per schedule.
@@ -267,7 +265,6 @@ runCensus(const CheckCase &c)
     opts.maxCycles = census.maxCycles;
     opts.faults = census.faults;
     opts.cancel = census.cancel;
-    opts.engine = census.engine;
     opts.validate = false;
 
     Simulator sim(prog, census.arch, cfg, *policy, trace, opts);

@@ -94,7 +94,7 @@ Cpu::step()
         break;
       case Op::DIV:
         // Edge semantics (x/0, INT_MIN/-1) live in isa/alu.hh,
-        // shared with the threaded engine.
+        // shared with the execution engine.
         writeReg(inst.rd, alu::div(sa, sb));
         res.cycles += 7; // software-assisted divide
         break;

@@ -107,10 +107,10 @@ class Cpu
     }
 
   private:
-    /** The threaded-code engine (sim/engine.cc) executes decoded ops
+    /** The execution engine (sim/engine.cc) executes decoded ops
      *  directly against this register file / PC / instret state so
-     *  snapshot(), restore() and instret() behave identically under
-     *  both engines. */
+     *  snapshot(), restore() and instret() behave exactly as under
+     *  step(). */
     friend class ThreadedEngine;
 
     const Program &program;

@@ -132,19 +132,12 @@ predecode(const Program &prog)
 std::shared_ptr<const DecodedProgram>
 decodedProgram(const Program &prog)
 {
-    auto image = prog._decoded.load(std::memory_order_acquire);
-    if (image)
+    if (auto image = prog._decoded.get())
         return image;
-
-    auto fresh =
-        std::make_shared<const DecodedProgram>(predecode(prog));
-    // First installer wins so concurrent simulations share one image.
-    std::shared_ptr<const DecodedProgram> expected;
-    if (prog._decoded.compare_exchange_strong(
-            expected, fresh, std::memory_order_acq_rel,
-            std::memory_order_acquire))
-        return fresh;
-    return expected;
+    // Decode outside the lock; the first installer wins, so concurrent
+    // simulations share one image.
+    return prog._decoded.install(
+        std::make_shared<const DecodedProgram>(predecode(prog)));
 }
 
 } // namespace nvmr

@@ -1,7 +1,7 @@
 /**
  * @file
- * The decoded-op cache behind the threaded-code execution engine
- * (docs/performance.md, "Execution engines").
+ * The decoded-op cache behind the execution engine
+ * (docs/performance.md, "The execution core").
  *
  * predecode() lowers a Program's text section once into a dense,
  * cache-friendly array of DecodedOp records: the opcode is mapped to
@@ -12,10 +12,10 @@
  * metadata -- the length and total cycle count of the maximal
  * straight-line run of fusible ALU ops starting at that op. The
  * engine uses the metadata to execute such runs as one fused step
- * whose energy/cycle accounting is bit-identical to the interpreter.
+ * whose energy/cycle accounting is bit-identical to stepping each op.
  *
- * Decoded images are immutable and shared: each Program owns an
- * atomically-installed slot (Program::_decoded), so concurrent
+ * Decoded images are immutable and shared: each Program owns a
+ * lazily installed slot (Program::_decoded), so concurrent
  * simulations of the same image -- parallel campaign cells, the warm
  * nvmr_serve ProgramCache -- decode once and share the result.
  */
@@ -115,10 +115,10 @@ DecodedProgram predecode(const Program &prog);
 
 /**
  * Fetch the shared decoded image for `prog`, predecoding on first
- * use. Thread-safe and lock-free on the hit path; the image stays
+ * use. Thread-safe (one short lock per call); the image stays
  * valid for the lifetime of the returned shared_ptr even if the
  * Program is mutated or destroyed. Callers that mutate prog.text in
- * place must call Program::invalidateDecoded().
+ * place must call Program::invalidateCaches().
  */
 std::shared_ptr<const DecodedProgram> decodedProgram(const Program &prog);
 

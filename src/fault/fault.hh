@@ -166,10 +166,9 @@ class FaultInjector
     uint64_t persistCount() const { return st.persistPoints; }
 
     /** The next armed cycle-schedule entry (UINT64_MAX when none
-     *  remain). The threaded engine refuses to fuse a superblock
+     *  remain). The execution engine refuses to fuse a superblock
      *  that would advance totalCycles past this boundary, so armed
-     *  crashes always fire from the per-instruction path exactly as
-     *  they do under the interpreter. */
+     *  crashes always fire from the per-instruction path. */
     uint64_t
     nextCyclePoint() const
     {

@@ -1,12 +1,13 @@
 /**
  * @file
- * The single source of truth for the iisa ALU edge paths. Both
- * execution engines -- the reference interpreter (cpu/cpu.cc) and the
- * threaded-code engine (sim/engine.cc) -- evaluate DIV/REM and the
- * shift family through these helpers, so the tricky cases
- * (divide-by-zero, INT_MIN/-1, shift amounts masked to 5 bits,
- * shift-by-zero) cannot drift between engines. test_cpu_properties
- * asserts the table below against both engines.
+ * The single source of truth for the iisa ALU edge paths. Cpu::step()
+ * (cpu/cpu.cc, the oracle behind the golden run and the differential
+ * checker) and the execution engine (sim/engine.cc) both evaluate
+ * DIV/REM and the shift family through these helpers, so the tricky
+ * cases (divide-by-zero, INT_MIN/-1, shift amounts masked to 5 bits,
+ * shift-by-zero) cannot drift between them. test_cpu_properties
+ * asserts the table below against Cpu::step(); the engine-equivalence
+ * test holds the engine to the same results.
  *
  *   op   | rs2 == 0      | INT_MIN / -1 | otherwise
  *   -----+---------------+--------------+---------------------

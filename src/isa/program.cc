@@ -9,7 +9,7 @@ Program::Program(const Program &other)
     : name(other.name), text(other.text), data(other.data),
       labels(other.labels), entry(other.entry)
 {
-    // _decoded deliberately left empty: the copy may diverge.
+    // The cache slots stay empty: the copy may diverge.
 }
 
 Program &
@@ -21,7 +21,7 @@ Program::operator=(const Program &other)
         data = other.data;
         labels = other.labels;
         entry = other.entry;
-        invalidateDecoded();
+        invalidateCaches();
     }
     return *this;
 }
@@ -42,7 +42,7 @@ Program::operator=(Program &&other) noexcept
         data = std::move(other.data);
         labels = std::move(other.labels);
         entry = other.entry;
-        invalidateDecoded();
+        invalidateCaches();
     }
     return *this;
 }

@@ -7,10 +7,10 @@
 #ifndef NVMR_ISA_PROGRAM_HH
 #define NVMR_ISA_PROGRAM_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -20,6 +20,49 @@ namespace nvmr
 {
 
 struct DecodedProgram; // cpu/decoded.hh
+
+/**
+ * A lazily installed, immutable, shared value: the first installer
+ * wins and every later reader gets the installed object, which stays
+ * valid for as long as a reader holds it. A mutex guards the pointer
+ * rather than std::atomic<std::shared_ptr>: libstdc++ 12's load()
+ * releases that type's internal lock with relaxed order, so a load
+ * racing a compare_exchange is a data race (ThreadSanitizer reports
+ * it).
+ */
+template <typename T>
+class LazySlot
+{
+  public:
+    std::shared_ptr<const T>
+    get() const
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        return value;
+    }
+
+    /** Install `fresh` unless a value is already installed; return
+     *  whichever value the slot holds afterwards. */
+    std::shared_ptr<const T>
+    install(std::shared_ptr<const T> fresh)
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!value)
+            value = std::move(fresh);
+        return value;
+    }
+
+    void
+    reset()
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        value.reset();
+    }
+
+  private:
+    mutable std::mutex mu;
+    std::shared_ptr<const T> value;
+};
 
 /**
  * An assembled program. The data image is loaded into the application
@@ -32,9 +75,9 @@ class Program
   public:
     Program() = default;
 
-    /** Copies and moves carry the sections but never the decoded-op
-     *  cache slot: a copy may be mutated afterwards (the ddmin
-     *  shrinker), so it re-decodes on first threaded execution. */
+    /** Copies and moves carry the sections but never the cache slots
+     *  (decoded ops, golden image): a copy may be mutated afterwards
+     *  (the ddmin shrinker), so it re-derives both on first use. */
     Program(const Program &other);
     Program &operator=(const Program &other);
     Program(Program &&other) noexcept;
@@ -64,12 +107,13 @@ class Program
     /** Read an initial data word (little-endian); for tests. */
     Word initialWord(Addr addr) const;
 
-    /** Drop the cached decoded-op image. Must be called after any
-     *  in-place mutation of `text` once the program has executed on
-     *  the threaded engine (cpu/decoded.hh). */
-    void invalidateDecoded() const
+    /** Drop the cached decoded-op and golden images. Must be called
+     *  after any in-place mutation of `text` or `data` once the
+     *  program has been simulated. */
+    void invalidateCaches() const
     {
-        _decoded.store(nullptr, std::memory_order_release);
+        _decoded.reset();
+        _golden.reset();
     }
 
   private:
@@ -78,8 +122,15 @@ class Program
     friend std::shared_ptr<const DecodedProgram>
     decodedProgram(const Program &prog);
 
-    mutable std::atomic<std::shared_ptr<const DecodedProgram>>
-        _decoded{};
+    mutable LazySlot<DecodedProgram> _decoded;
+
+    /** Lazily-installed golden image: the final data segment of the
+     *  continuous run, shared by every validated simulation of this
+     *  Program (populated by nvmr::goldenFor, sim/simulator.hh). */
+    friend std::shared_ptr<const std::vector<uint8_t>>
+    goldenFor(const Program &prog);
+
+    mutable LazySlot<std::vector<uint8_t>> _golden;
 };
 
 } // namespace nvmr

@@ -22,8 +22,9 @@ Nvm::wordIndex(Addr addr) const
 {
     panic_if(addr % kWordBytes != 0, "misaligned NVM word access: ",
              addr);
-    panic_if(addr + kWordBytes > size, "NVM access out of range: ",
-             addr);
+    // 64-bit sum: an address near 2^32 must not wrap past the end.
+    panic_if(uint64_t{addr} + kWordBytes > size,
+             "NVM access out of range: ", addr);
     return addr / kWordBytes;
 }
 

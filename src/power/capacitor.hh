@@ -108,7 +108,7 @@ class Capacitor
     void setRawEnergy(NanoJoules nj) { e = nj; }
 
   private:
-    /** The threaded engine's superblock executor (sim/engine.cc)
+    /** The execution engine's superblock executor (sim/engine.cc)
      *  keeps `e` in a register across a fused run of ALU ops and
      *  compares against the precomputed thresholds directly; every
      *  local update replicates drainNj/harvestNj bit for bit. */

@@ -181,7 +181,7 @@ class EnergyAccount
     }
 
   private:
-    /** The threaded engine's superblock executor (sim/engine.cc)
+    /** The execution engine's superblock executor (sim/engine.cc)
      *  accumulates Forward / ForwardOverhead pending energy in
      *  registers across a fused run and writes the slots back at
      *  every exit. */

@@ -80,8 +80,9 @@ class BackupPolicy
     virtual void reset() {}
 
     /**
-     * Inline-check description for the threaded engine; defaults to
-     * Generic (always call shouldBackup()). A subclass that overrides
+     * Inline-check description for the execution engine's fast mode;
+     * defaults to Generic (reference mode: call shouldBackup() after
+     * every instruction). A subclass that overrides
      * shouldBackup() with new state or side effects MUST also override
      * this back to Generic, or the engine will silently skip its
      * logic (see RecordingJitPolicy in sim/experiment.cc).

@@ -80,9 +80,6 @@ stringList(const JsonValue &v, std::vector<std::string> &out,
 std::string
 JobSpec::configSpec() const
 {
-    // `engine` is deliberately absent: both engines produce
-    // bit-identical per-cell results, so a journal written under one
-    // engine resumes cleanly under the other.
     if (type == JobType::Fuzz) {
         std::string spec =
             "fuzz|iterations=" + std::to_string(fuzz.iterations) +
@@ -171,12 +168,10 @@ parseJobText(const std::string &text, const std::string &name,
                 return false;
             out.watchdogRetries = static_cast<unsigned>(u);
         } else if (key == "engine") {
-            if (v.kind != JsonValue::Kind::String ||
-                !engineKindFromName(v.str, out.engine)) {
-                error = "key 'engine' must be \"interp\", "
-                        "\"threaded\" or \"default\"";
-                return false;
-            }
+            // Accepted and ignored: the simulator has one execution
+            // engine. Job files written when the key chose between
+            // two engines keep parsing (and keep their content hash,
+            // so --resume still skips them).
         } else if (key == "workloads" && out.type == JobType::Sweep) {
             if (!stringList(v, out.sweep.workloads, error, key))
                 return false;

@@ -21,8 +21,7 @@
  *       "caps": [0.1],
  *       "traces": 2,
  *       "deadline_ms": 60000,
- *       "retries": 2,
- *       "engine": "threaded"
+ *       "retries": 2
  *     }
  */
 
@@ -32,8 +31,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "sim/engine.hh"
 
 namespace nvmr::serve
 {
@@ -82,13 +79,6 @@ struct JobSpec
     /** Deterministic per-cell watchdog (campaign layer). */
     uint64_t watchdogCycles = 0;
     unsigned watchdogRetries = 2;
-
-    /** Execution engine for the job's runs ("engine" key: "interp" |
-     *  "threaded" | "default"). Both engines are bit-identical, so
-     *  this is a host-side speed knob: it is deliberately EXCLUDED
-     *  from configSpec() -- switching engines must not invalidate a
-     *  resumed journal (docs/performance.md). */
-    EngineKind engine = EngineKind::Default;
 
     SweepParams sweep;
     FuzzParams fuzz;

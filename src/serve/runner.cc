@@ -106,7 +106,6 @@ runSweepJob(const JobSpec &job, const JobRunOptions &opts,
             if (ctx.budgetCycles)
                 ropts.maxCycles = ctx.budgetCycles;
             ropts.cancel = ctx.cancel;
-            ropts.engine = job.engine;
             auto runs = runOnTraces(*images[c.wl], arch_kinds[c.ai],
                                     cfg, spec, traces, ropts);
             // A cancelled run is indistinguishable from a blown
@@ -285,7 +284,7 @@ runFuzzJob(const JobSpec &job, const JobRunOptions &opts)
                 FuzzOutcome out = evalFuzzCase(
                     progs[pr.prog], texts[pr.prog], pr.seed, c,
                     fp.faults ? &fc : nullptr, fp.oracle,
-                    ctx.budgetCycles, ctx.cancel, job.engine);
+                    ctx.budgetCycles, ctx.cancel);
                 if (cancelSet(ctx.cancel))
                     throw campaign::CellCancelled{};
                 if (ctx.budgetCycles && !out.ok && !out.skipped &&

@@ -1,11 +1,13 @@
 /**
  * @file
- * The threaded-code execution engine. Every transformation here is a
- * pure speed optimization: the engine replays the interpreter's exact
- * per-instruction sequence of floating-point operations, counter
- * updates and subsystem calls, so its outputs -- final NVM state,
- * registers, energy ledger, stats, event streams -- are bit-identical
- * to `interp` (the engine-equivalence ctest enforces this).
+ * The execution core. Every transformation here is a pure speed
+ * optimization: each instruction replays Cpu::step()'s semantics and
+ * the simulator's exact per-instruction sequence of floating-point
+ * operations, counter updates and subsystem calls, so the outputs --
+ * final NVM state, registers, energy ledger, stats, event streams --
+ * reproduce the retired reference interpreter's bit for bit (the
+ * engine-equivalence ctest checks both modes against the committed
+ * digest table).
  *
  * Three layers of speedup, each with an exact bail-out:
  *
@@ -17,23 +19,24 @@
  *     backupCostNowNj() implementation is a pure function of state
  *     mutated only by memory traffic, task boundaries, backups,
  *     restores and power failures -- exactly the events that clear
- *     `costValid`). Stateful policies fall back to the virtual call.
+ *     `costValid`). Stateful policies take reference mode: the
+ *     virtual call after every instruction.
  *  3. Superblock fusion: a maximal straight-line run of ALU ops
  *     executes as one fused step with the capacitor energy, pending
  *     ledger and cycle counters held in registers. Fusion requires
- *     proof that the interpreter would have done nothing else inside
- *     the run: no harvest-sample boundary, no cycle budget edge, no
- *     armed crash point, no Generic policy. The fused loop still
- *     applies each op's harvest/drain/dead-check individually (IEEE
- *     FP is not associative; bulk-summing would drift), and writes
- *     every local back before any exit -- fire, brown-out, or block
- *     end -- so exceptions always unwind from a consistent Simulator.
+ *     proof that per-instruction stepping would have done nothing
+ *     else inside the run: no harvest-sample boundary, no cycle
+ *     budget edge, no armed crash point, no Generic policy. The fused
+ *     loop still applies each op's harvest/drain/dead-check
+ *     individually (IEEE FP is not associative; bulk-summing would
+ *     drift), and writes every local back before any exit -- fire,
+ *     brown-out, or block end -- so exceptions always unwind from a
+ *     consistent Simulator.
  */
 
 #include "sim/engine.hh"
 
 #include <atomic>
-#include <cstdlib>
 
 #include "common/log.hh"
 #include "isa/alu.hh"
@@ -41,97 +44,6 @@
 
 namespace nvmr
 {
-
-// ----------------------------------------------------------------------
-// Engine selection
-// ----------------------------------------------------------------------
-
-namespace
-{
-
-EngineKind gEngine = EngineKind::Default;
-
-EngineKind
-engineFromEnv()
-{
-    static const EngineKind cached = [] {
-        const char *env = std::getenv("NVMR_ENGINE");
-        if (!env || !*env)
-            return EngineKind::Default;
-        return parseEngineKind(env);
-    }();
-    return cached;
-}
-
-} // namespace
-
-const char *
-engineKindName(EngineKind kind)
-{
-    switch (kind) {
-      case EngineKind::Default: return "default";
-      case EngineKind::Interp: return "interp";
-      case EngineKind::Threaded: return "threaded";
-      default: return "<bad>";
-    }
-}
-
-bool
-engineKindFromName(const std::string &name, EngineKind &out)
-{
-    if (name == "default") {
-        out = EngineKind::Default;
-        return true;
-    }
-    if (name == "interp" || name == "interpreter") {
-        out = EngineKind::Interp;
-        return true;
-    }
-    if (name == "threaded") {
-        out = EngineKind::Threaded;
-        return true;
-    }
-    return false;
-}
-
-EngineKind
-parseEngineKind(const std::string &text)
-{
-    EngineKind kind;
-    if (!engineKindFromName(text, kind))
-        fatal("unknown engine '", text,
-              "' (expected interp or threaded)");
-    return kind;
-}
-
-void
-setGlobalEngine(EngineKind kind)
-{
-    gEngine = kind;
-}
-
-EngineKind
-globalEngine()
-{
-    return gEngine;
-}
-
-EngineKind
-resolveEngine(EngineKind requested)
-{
-    if (requested != EngineKind::Default)
-        return requested;
-    if (gEngine != EngineKind::Default)
-        return gEngine;
-    EngineKind env = engineFromEnv();
-    if (env != EngineKind::Default)
-        return env;
-    return EngineKind::Interp;
-}
-
-// ----------------------------------------------------------------------
-// Threaded engine
-// ----------------------------------------------------------------------
 
 namespace
 {
@@ -244,7 +156,7 @@ ThreadedEngine::policyAfterStep()
  * mainLoop(). The PC lives in a local; Cpu::_pc and _instret are
  * updated at every instruction retire so any throw -- from a memory
  * op (instruction not retired) or from the cycle accounting
- * (retired) -- observes exactly the interpreter's CPU state.
+ * (retired) -- observes exactly Cpu::step()'s CPU state.
  */
 template <int M>
 int
@@ -265,8 +177,8 @@ ThreadedEngine::session(unsigned &cancel_check)
 
     // Inlined copy of Simulator::addCycles() for the retire path
     // (mode is always Execute there, so applyEnergy/categoryFor
-    // reduce to the Forward pending slots). The interpreter pays
-    // five-plus cross-TU calls per instruction for this chain; the
+    // reduce to the Forward pending slots). Going through the sink
+    // would cost five-plus cross-TU calls per instruction; the
     // expressions below are copied verbatim so results stay
     // bit-identical. Port-driven stall cycles (Nvm reads/writes)
     // still go through the virtual sink, untouched.
@@ -334,10 +246,9 @@ ThreadedEngine::session(unsigned &cancel_check)
 #endif
 
   top:
-    // Per-instruction preamble, identical to the interpreter loop:
-    // budget first, then the snapshot point (the same boundary the
-    // interpreter fires at), the coarse cancel poll, and the fetch
-    // bounds check.
+    // Per-instruction preamble: budget first, then the snapshot
+    // point (the first instruction boundary after a committed
+    // backup), the coarse cancel poll, and the fetch bounds check.
     if (s.totalCycles > max_cycles)
         return kSessionStop;
     if (s.snapPending)
@@ -355,10 +266,10 @@ ThreadedEngine::session(unsigned &cancel_check)
         if (o->fuse > 1) {
             // Superblock fusion preconditions: the whole run must
             // stay inside the cached harvest sample (so each op's
-            // harvest is the same fast-path multiply the interpreter
+            // harvest is the same fast-path multiply addCycles()
             // would do and no mid-run cache refresh happens), inside
-            // the cycle budget (the interpreter checks it before
-            // every step), and short of the next armed crash point.
+            // the cycle budget (checked before every step), and
+            // short of the next armed crash point.
             const uint64_t tot0 = s.totalCycles;
             const uint64_t end = tot0 + o->fuseCycles;
             if (end <= s.harvestSampleEnd && end <= max_cycles &&
@@ -385,7 +296,7 @@ ThreadedEngine::session(unsigned &cancel_check)
                 uint64_t tot = tot0;
                 uint64_t act = s.activeCycles;
                 const uint64_t last_backup = s.lastBackupActive;
-                // (h * k) * n matches the interpreter's
+                // (h * k) * n matches addCycles()'s
                 // left-associated harvest fast path exactly.
                 const double hk =
                     s.harvestMwCached * HarvestTrace::njPerMwCycle;
@@ -435,8 +346,8 @@ ThreadedEngine::session(unsigned &cancel_check)
 
                 // Write everything back before any exit: the op that
                 // died or fired has retired, and the refresh check
-                // reproduces the one the interpreter's addCycles()
-                // would have run during the run's last op.
+                // reproduces the one addCycles() would have run
+                // during the run's last op.
                 pc += i;
                 cpu._pc = pc;
                 cpu._instret += i;
@@ -569,11 +480,11 @@ ThreadedEngine::session(unsigned &cancel_check)
     goto top;
 
   h_halt:
-    // Same order as Cpu::step() + the interpreter loop: record the
-    // halt (with the retiring instruction's 1-based instret), retire
-    // without advancing the PC, account the cycle, then take the
-    // final backup. Either of the last two can throw; a restore
-    // clears _halted and re-runs to the HALT, exactly like interp.
+    // Same order as Cpu::step(): record the halt (with the retiring
+    // instruction's 1-based instret), retire without advancing the
+    // PC, account the cycle, then take the final backup. Either of
+    // the last two can throw; a restore clears _halted and re-runs
+    // to the HALT.
     cpu._halted = true;
     if (cpu.tracer)
         cpu.tracer->record(EventKind::CpuHalt, cpu._instret + 1);
@@ -627,8 +538,8 @@ template <int M>
 bool
 ThreadedEngine::mainLoop()
 {
-    // Mirrors the interpreter's main loop: one powered session at a
-    // time, PowerFailure handled exactly as its per-step catch does.
+    // One powered session at a time; a PowerFailure unwinds here,
+    // is handled, and execution resumes in a fresh session.
     unsigned cancel_check = 0;
     while (s.totalCycles <= s.opts.maxCycles) {
         try {

@@ -1,25 +1,26 @@
 /**
  * @file
- * Execution-engine selection and the threaded-code engine.
+ * The simulator's execution core (docs/performance.md, "The execution
+ * core").
  *
- * The simulator has two engines that produce bit-identical results
- * (docs/performance.md, "Execution engines"):
+ * ThreadedEngine executes the shared predecoded op image
+ * (cpu/decoded.hh) with computed-goto dispatch and an inlined copy of
+ * the per-instruction accounting. It runs in one of two modes, chosen
+ * by the backup policy's PolicyFastPath:
  *
- *  - `interp`: the reference path -- Cpu::step()'s opcode switch,
- *    one virtual addCycles() and one policy call per instruction.
- *  - `threaded`: executes the shared predecoded op image
- *    (cpu/decoded.hh) with computed-goto dispatch, an inlined copy of
- *    the per-instruction accounting, a cached backup-policy threshold
- *    (PolicyFastPath), and superblock fusion of straight-line ALU
- *    runs. Anything the fast path cannot prove safe -- memory ops,
- *    control flow, harvest-sample boundaries, armed crash points,
- *    stateful policies -- bails to the exact interpreter-equivalent
- *    slow path.
+ *  - reference mode (a Generic policy): a virtual maybePolicyBackup()
+ *    after every instruction and no superblock fusion -- step for
+ *    step the retired Cpu::step() interpreter loop;
+ *  - fast mode (JIT, watchdog, none): a cached backup-policy
+ *    threshold checked inline and superblock fusion of straight-line
+ *    ALU runs. Anything the fast path cannot prove safe -- memory
+ *    ops, control flow, harvest-sample boundaries, armed crash
+ *    points -- takes the exact per-instruction path.
  *
- * Because the outputs are identical, the engine choice is a host-side
- * performance knob: it is NOT part of a run's configuration spec and
- * never appears in deterministic outputs (CSV rows, manifests,
- * campaign cell hashes).
+ * Both modes reproduce the committed equivalence digest table
+ * (tests/data/engine_equiv_digests.txt) bit for bit. Cpu::step()
+ * remains the instruction-semantics oracle behind the continuous
+ * golden run and the differential checker.
  */
 
 #ifndef NVMR_SIM_ENGINE_HH
@@ -27,7 +28,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "common/types.hh"
 #include "cpu/decoded.hh"
@@ -37,42 +37,12 @@ namespace nvmr
 
 class Simulator;
 
-/** Which execution engine a run uses. */
-enum class EngineKind : uint8_t
-{
-    Default, ///< defer to the global/env selection
-    Interp,  ///< reference interpreter (Cpu::step switch)
-    Threaded ///< predecoded threaded-code engine
-};
-
-/** Printable name ("default" / "interp" / "threaded"). */
-const char *engineKindName(EngineKind kind);
-
-/** Parse an engine name; fatal on anything unknown. */
-EngineKind parseEngineKind(const std::string &text);
-
-/** Non-fatal name lookup ("default" / "interp" / "threaded"); false
- *  on an unknown name (used by never-fatal parsers like the serve
- *  job schema). */
-bool engineKindFromName(const std::string &name, EngineKind &out);
-
-/** Process-wide engine selection (the tools' --engine flag). */
-void setGlobalEngine(EngineKind kind);
-EngineKind globalEngine();
-
 /**
- * Resolve the engine a run should use: an explicit per-run request
- * wins, then the process-wide selection (--engine), then the
- * NVMR_ENGINE environment variable, then the interpreter.
- */
-EngineKind resolveEngine(EngineKind requested);
-
-/**
- * The threaded-code engine. One instance drives the main loop of one
+ * The execution engine. One instance drives the main loop of one
  * Simulator::run(); everything outside the per-instruction loop
  * (initial backup, power-failure handling, backups, hibernation,
- * validation) is shared with the interpreter by calling straight back
- * into the Simulator.
+ * validation) stays in the Simulator, which the engine calls straight
+ * back into.
  */
 class ThreadedEngine
 {

@@ -7,14 +7,11 @@
 #include "arch/task.hh"
 #include "common/log.hh"
 #include "core/nvmr_arch.hh"
+#include "mem/flat_port.hh"
 #include "obs/metrics.hh"
 
 namespace nvmr
 {
-
-// ----------------------------------------------------------------------
-// Golden (continuous) execution
-// ----------------------------------------------------------------------
 
 namespace
 {
@@ -29,76 +26,16 @@ runCancelled(const RunOptions &opts)
            opts.cancel->load(std::memory_order_relaxed);
 }
 
-/** Flat, energy-free memory for continuously-powered runs. */
-class DirectPort : public DataPort
-{
-  public:
-    explicit DirectPort(uint32_t size_bytes) : mem(size_bytes, 0) {}
-
-    void
-    loadImage(const std::vector<uint8_t> &image)
-    {
-        panic_if(image.size() > mem.size(), "image too large");
-        std::copy(image.begin(), image.end(), mem.begin());
-    }
-
-    Word
-    loadWord(Addr addr) override
-    {
-        check(addr, kWordBytes);
-        Word w = 0;
-        for (unsigned i = 0; i < kWordBytes; ++i)
-            w |= static_cast<Word>(mem[addr + i]) << (8 * i);
-        return w;
-    }
-
-    void
-    storeWord(Addr addr, Word value) override
-    {
-        check(addr, kWordBytes);
-        for (unsigned i = 0; i < kWordBytes; ++i)
-            mem[addr + i] = static_cast<uint8_t>(value >> (8 * i));
-    }
-
-    uint8_t
-    loadByte(Addr addr) override
-    {
-        check(addr, 1);
-        return mem[addr];
-    }
-
-    void
-    storeByte(Addr addr, uint8_t value) override
-    {
-        check(addr, 1);
-        mem[addr] = value;
-    }
-
-    const std::vector<uint8_t> &bytes() const { return mem; }
-
-  private:
-    std::vector<uint8_t> mem;
-
-    void
-    check(Addr addr, uint32_t n) const
-    {
-        panic_if(addr + n > mem.size(),
-                 "golden run access out of range: ", addr);
-    }
-};
-
 } // namespace
+
+// ----------------------------------------------------------------------
+// Golden (continuous) execution
+// ----------------------------------------------------------------------
 
 GoldenResult
 runContinuous(const Program &prog, uint64_t max_instructions)
 {
-    // Size the flat memory generously past the data segment so the
-    // program can use scratch space above its static data, matching
-    // the intermittent runs (which have the whole application region
-    // of NVM available).
-    uint32_t size = std::max<uint32_t>(prog.dataSize() + 4096, 65536);
-    DirectPort port(size);
-    port.loadImage(prog.data);
+    FlatPort port(prog.data, "golden run");
     Cpu cpu(prog, port);
 
     GoldenResult result;
@@ -107,8 +44,23 @@ runContinuous(const Program &prog, uint64_t max_instructions)
         ++result.instructions;
     }
     result.halted = cpu.halted();
-    result.data = port.bytes();
+    result.data = port.takeBytes();
     return result;
+}
+
+std::shared_ptr<const GoldenImage>
+goldenFor(const Program &prog)
+{
+    if (auto image = prog._golden.get())
+        return image;
+
+    GoldenResult golden = runContinuous(prog);
+    panic_if(!golden.halted, "golden run of ", prog.name,
+             " did not halt");
+    golden.data.resize(prog.data.size());
+    // The first installer wins, so concurrent runs share one image.
+    return prog._golden.install(
+        std::make_shared<const GoldenImage>(std::move(golden.data)));
 }
 
 std::unique_ptr<IntermittentArch>
@@ -569,44 +521,6 @@ Simulator::maybePolicyBackup()
         hibernate();
 }
 
-// ----------------------------------------------------------------------
-// Main loop
-// ----------------------------------------------------------------------
-
-bool
-Simulator::runInterpLoop()
-{
-    bool completed = false;
-    // Poll the cancel flag only every ~1k instruction steps: one
-    // predictable branch per step in the hot loop, an atomic load
-    // only at the coarse cadence.
-    unsigned cancelCheck = 0;
-    while (totalCycles <= opts.maxCycles) {
-        if (snapPending)
-            fireSnapshotPoint(); // safe point: instruction boundary
-        if (opts.cancel && ++cancelCheck >= 1024) {
-            cancelCheck = 0;
-            if (runCancelled(opts))
-                break; // completed stays false, like a blown budget
-        }
-        try {
-            StepResult sr = cpu.step();
-            addCycles(sr.cycles);
-            if (sr.halted) {
-                requestBackup(BackupReason::Final);
-                completed = true;
-                break;
-            }
-            maybePolicyBackup();
-        } catch (PowerFailure &) {
-            handlePowerFailure();
-            if (totalCycles > opts.maxCycles)
-                break;
-        }
-    }
-    return completed;
-}
-
 RunResult
 Simulator::run()
 {
@@ -624,7 +538,6 @@ Simulator::run()
     if (opts.resumeFrom)
         attachTrace(saved_tracer);
 
-    bool completed = false;
     if (opts.resumeFrom) {
         // Forked run: overwrite the freshly initialized state with
         // the snapshot and continue from its instruction boundary.
@@ -639,19 +552,13 @@ Simulator::run()
         }
     }
 
-    if (resolveEngine(opts.engine) == EngineKind::Threaded) {
-        ThreadedEngine engine(*this);
-        completed = engine.run();
-    } else {
-        completed = runInterpLoop();
-    }
+    ThreadedEngine engine(*this);
+    const bool completed = engine.run();
 
     bool validated = false;
     bool checked = false;
     if (completed && opts.validate) {
-        GoldenResult golden = runContinuous(program);
-        panic_if(!golden.halted, "golden run did not halt");
-        validated = validateAgainstGolden(golden);
+        validated = validateAgainstGolden(*goldenFor(program));
         checked = true;
     }
     arch->syncFaultCounters(injector.stats());
@@ -668,7 +575,7 @@ Simulator::run()
 }
 
 bool
-Simulator::validateAgainstGolden(const GoldenResult &golden) const
+Simulator::validateAgainstGolden(const GoldenImage &golden) const
 {
     // Compare every word of the application data segment, reading
     // through the architecture's latest mapping.
@@ -678,7 +585,7 @@ Simulator::validateAgainstGolden(const GoldenResult &golden) const
         Addr addr = w * kWordBytes;
         Word expect = 0;
         for (unsigned i = 0; i < kWordBytes; ++i)
-            expect |= static_cast<Word>(golden.data[addr + i])
+            expect |= static_cast<Word>(golden[addr + i])
                       << (8 * i);
         if (arch->inspectWord(addr) != expect)
             return false;

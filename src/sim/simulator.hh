@@ -144,15 +144,7 @@ struct RunOptions
     const std::atomic<bool> *cancel = nullptr;
 
     /**
-     * Which execution engine drives the main loop. Both engines
-     * produce bit-identical results, so this is a host-side speed
-     * knob only; Default defers to --engine / NVMR_ENGINE / interp
-     * (see sim/engine.hh).
-     */
-    EngineKind engine = EngineKind::Default;
-
-    /**
-     * When non-null, both engines call the sink at every safe point
+     * When non-null, the engine calls the sink at every safe point
      * (the first instruction boundary after a committed backup); the
      * sink decides whether to Simulator::captureSnapshot(). Capturing
      * never charges energy or cycles, so an attached sink cannot
@@ -190,6 +182,20 @@ struct GoldenResult
 GoldenResult runContinuous(const Program &prog,
                            uint64_t max_instructions = 200000000ull);
 
+/** The final data-segment bytes of a program's continuous run: the
+ *  part of the golden run that validation reads. */
+using GoldenImage = std::vector<uint8_t>;
+
+/**
+ * The golden image of `prog`, computed by runContinuous() on first
+ * use and memoized in the Program, so every validated run of one
+ * program shares a single golden run. Thread-safe; concurrent first
+ * callers may each compute the image, and the first to install it
+ * wins (like decodedProgram()). A Program copy starts without the
+ * memo. Panics when the continuous run does not halt.
+ */
+std::shared_ptr<const GoldenImage> goldenFor(const Program &prog);
+
 /** Build an architecture instance. */
 std::unique_ptr<IntermittentArch> makeArch(ArchKind kind,
                                            const SystemConfig &cfg,
@@ -225,8 +231,8 @@ class Simulator : public EnergySink, public BackupHost
     IntermittentArch &archRef() { return *arch; }
     const Capacitor &capacitorRef() const { return cap; }
 
-    /** The simulated core (the differential oracle diffs its final
-     *  register file against the reference interpreter's). */
+    /** The simulated core (the differential checker diffs its final
+     *  register file against the oracle's, check/oracle.hh). */
     const Cpu &cpuRef() const { return cpu; }
 
     /** Attach an event observer (optional; call before run()). */
@@ -259,16 +265,15 @@ class Simulator : public EnergySink, public BackupHost
 
     /**
      * Compare the architecture's final application image against a
-     * golden continuous run (through the deterministic fault view).
-     * Public so crash-point explorers can validate recovery even
-     * when the crashy run itself skipped validation.
+     * golden image (goldenFor(), through the deterministic fault
+     * view). Public so crash-point explorers can validate recovery
+     * even when the crashy run itself skipped validation.
      */
-    bool validateAgainstGolden(const GoldenResult &golden) const;
+    bool validateAgainstGolden(const GoldenImage &golden) const;
 
   private:
-    /** The threaded engine (sim/engine.cc) replaces runInterpLoop()
-     *  with a predecoded, fused main loop that drives this
-     *  simulator's state machine directly. */
+    /** The execution core (sim/engine.cc): a predecoded main loop
+     *  that drives this simulator's state machine directly. */
     friend class ThreadedEngine;
 
     const Program &program;
@@ -289,8 +294,8 @@ class Simulator : public EnergySink, public BackupHost
     bool chargesMtLeak = false;
 
     /** A backup committed with a snapshot sink attached: fire the
-     *  sink at the next instruction boundary (both engines check this
-     *  at their loop top). Never set without opts.snapshots. */
+     *  sink at the next instruction boundary (the engine checks this
+     *  at its loop top). Never set without opts.snapshots. */
     bool snapPending = false;
     SimObserver *observer = nullptr;
     TraceSink *tracer = nullptr;
@@ -328,7 +333,7 @@ class Simulator : public EnergySink, public BackupHost
     ECat categoryFor(bool overhead) const;
 
     /** Clear snapPending and invoke the sink (out of line so the
-     *  engines' hot loops only pay a predictable not-taken branch). */
+     *  engine's hot loop only pays a predictable not-taken branch). */
     void fireSnapshotPoint();
 
     /** Overwrite all dynamic state from a snapshot (resumeFrom). */
@@ -339,9 +344,6 @@ class Simulator : public EnergySink, public BackupHost
     void handlePowerFailure();
     void rebootFromReset();
     void waitForRecharge(NanoJoules need_nj);
-
-    /** The reference main loop (engine=interp); returns `completed`. */
-    bool runInterpLoop();
 
     RunResult makeResult(bool completed, bool validated) const;
 };

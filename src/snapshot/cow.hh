@@ -119,7 +119,7 @@ class CowStore
     {
         panic_if(addr % kWordBytes != 0,
                  "misaligned COW store word access: ", addr);
-        panic_if(addr + kWordBytes > size,
+        panic_if(uint64_t{addr} + kWordBytes > size,
                  "COW store access out of range: ", addr);
     }
 

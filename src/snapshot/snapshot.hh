@@ -44,7 +44,7 @@ struct MachineSnapshot
 using SnapshotPtr = std::shared_ptr<const MachineSnapshot>;
 
 /**
- * Observer invoked by both execution engines at every safe point (the
+ * Observer invoked by the execution engine at every safe point (the
  * first instruction boundary after a committed backup) when attached
  * via RunOptions::snapshots. The sink decides whether to actually
  * capture (striding, caps) by calling Simulator::captureSnapshot().

@@ -1,0 +1,71 @@
+/**
+ * @file
+ * Address bounds checks at the top of the 32-bit space: an access
+ * whose end wraps past 2^32 must hit the documented panic instead of
+ * slipping past the check and reading or writing out of bounds.
+ */
+
+#include <gtest/gtest.h>
+
+#include "check/oracle.hh"
+#include "isa/assembler.hh"
+#include "power/policy.hh"
+#include "sim/simulator.hh"
+
+using namespace nvmr;
+
+namespace
+{
+
+Program
+wild(const char *op)
+{
+    return assemble("wild", std::string(R"(
+main:
+        li r1, -4
+        )") + op + R"( r2, 0(r1)
+        halt
+)");
+}
+
+} // namespace
+
+TEST(AddressBoundsDeathTest, GoldenRunPanicsOnWrappingAccess)
+{
+    Program load = wild("ld");
+    EXPECT_DEATH(runContinuous(load),
+                 "golden run access out of range");
+    Program store = wild("st");
+    EXPECT_DEATH(runContinuous(store),
+                 "golden run access out of range");
+}
+
+TEST(AddressBoundsDeathTest, OraclePanicsOnWrappingAccess)
+{
+    Program load = wild("ld");
+    EXPECT_DEATH(runOracle(load), "oracle access out of range");
+    Program store = wild("st");
+    EXPECT_DEATH(runOracle(store), "oracle access out of range");
+}
+
+TEST(AddressBoundsDeathTest, NvmPanicsOnWrappingAccess)
+{
+    // ClankOriginal has no cache: its loads and stores go straight to
+    // Nvm::readWord/writeWord.
+    for (const char *op : {"ld", "st"}) {
+        Program prog = wild(op);
+        SystemConfig cfg;
+        JitPolicy policy;
+        HarvestTrace trace(TraceKind::Rf, 7, 8.0);
+        RunOptions opts;
+        opts.validate = false;
+        EXPECT_DEATH(
+            {
+                Simulator sim(prog, ArchKind::ClankOriginal, cfg, policy,
+                              trace, opts);
+                sim.run();
+            },
+            "NVM access out of range")
+            << op;
+    }
+}

@@ -154,33 +154,28 @@ TEST(JobParse, FuzzJob)
 
 TEST(JobParse, EngineKeyParsesButStaysOutOfTheConfigSpec)
 {
-    serve::JobSpec spec;
+    // The simulator has one execution engine. Job files written when
+    // "engine" chose between two keep parsing whatever its value, and
+    // the key never reaches the config spec a resume is checked
+    // against.
+    serve::JobSpec plain;
     std::string error;
     ASSERT_TRUE(serve::parseJobText(
         "{\"schema\":\"nvmr-job-v1\",\"type\":\"fuzz\","
-        "\"iterations\":2,\"engine\":\"threaded\"}",
-        "fz", spec, error))
+        "\"iterations\":2}",
+        "fz", plain, error))
         << error;
-    EXPECT_EQ(spec.engine, EngineKind::Threaded);
-    // Both engines are bit-identical, so the knob must never gate a
-    // journal resume.
-    EXPECT_EQ(spec.configSpec().find("engine"), std::string::npos);
-
-    serve::JobSpec interp;
-    ASSERT_TRUE(serve::parseJobText(
-        "{\"schema\":\"nvmr-job-v1\",\"type\":\"fuzz\","
-        "\"iterations\":2,\"engine\":\"interp\"}",
-        "fz", interp, error))
-        << error;
-    EXPECT_EQ(interp.engine, EngineKind::Interp);
-    EXPECT_EQ(interp.configSpec(), spec.configSpec());
-
-    // Bad value: rejected with the key named, never fatal.
-    EXPECT_FALSE(serve::parseJobText(
-        "{\"schema\":\"nvmr-job-v1\",\"type\":\"sweep\","
-        "\"engine\":\"turbo\"}",
-        "j", spec, error));
-    EXPECT_NE(error.find("engine"), std::string::npos);
+    for (const char *value : {"\"threaded\"", "\"interp\"",
+                              "\"default\"", "\"turbo\"", "1"}) {
+        serve::JobSpec spec;
+        ASSERT_TRUE(serve::parseJobText(
+            std::string("{\"schema\":\"nvmr-job-v1\",\"type\":"
+                        "\"fuzz\",\"iterations\":2,\"engine\":") +
+                value + "}",
+            "fz", spec, error))
+            << value << ": " << error;
+        EXPECT_EQ(spec.configSpec(), plain.configSpec()) << value;
+    }
 }
 
 TEST(JobParse, RejectsMalformedJobs)
@@ -302,6 +297,25 @@ TEST(Service, RunsASweepJobAndResumeIsByteIdentical)
         << err;
     EXPECT_EQ(doc.find("jobs")->numberAt("admitted"), 0)
         << "resume re-ran a recorded job";
+}
+
+TEST(Service, IgnoredEngineKeyKeepsTheCsvByteIdentical)
+{
+    // An old spool file that still selects an engine runs the same
+    // campaign as the file without the key.
+    std::string plain = tempDir("serve_engine_plain");
+    writeFile(plain + "/job1.job", kSweepJob);
+    EXPECT_EQ(runService(onceOptions(plain)), kExitOk);
+
+    std::string legacy = tempDir("serve_engine_interp");
+    std::string job = kSweepJob;
+    job.replace(job.find("\"traces\""), 0, "\"engine\": \"interp\",\n  ");
+    writeFile(legacy + "/job1.job", job);
+    EXPECT_EQ(runService(onceOptions(legacy)), kExitOk);
+
+    std::string csv = readFile(plain + "/.nvmr_serve/out/job1.csv");
+    ASSERT_FALSE(csv.empty());
+    EXPECT_EQ(readFile(legacy + "/.nvmr_serve/out/job1.csv"), csv);
 }
 
 TEST(Service, ParseErrorDegradesWithoutKillingHealthyJobs)

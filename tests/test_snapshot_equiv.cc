@@ -3,11 +3,11 @@
  * Snapshot-equivalence contract (docs/performance.md, "Snapshots and
  * fork-based crash exploration"): a run forked from any captured safe
  * point must be byte-identical to the run that kept going. Every
- * workload runs across all six architecture schemes on both execution
- * engines; each run captures snapshots, then forks from sampled safe
- * points and compares the final application image, CPU state, every
- * RunResult statistic (energy doubles bit-for-bit), the full NVM
- * image, and the traced event stream (the fork's stream must equal
+ * workload runs across all six architecture schemes; each run
+ * captures snapshots, then forks from sampled safe points and
+ * compares the final application image, CPU state, every RunResult
+ * statistic (energy doubles bit-for-bit), the full NVM image, and
+ * the traced event stream (the fork's stream must equal
  * the scratch run's suffix from the capture point). A batch of seeded
  * random programs and crash-schedule replays round out the matrix.
  */
@@ -166,11 +166,9 @@ expectSameResult(const RunResult &a, const RunResult &b,
  *  event stream. */
 Fingerprint
 runScratch(const Program &prog, ArchKind arch, BackupPolicy &policy,
-           const HarvestTrace &trace, RunOptions opts,
-           EngineKind engine, uint64_t stride,
+           const HarvestTrace &trace, RunOptions opts, uint64_t stride,
            std::vector<MarkedSnapshot> &snaps_out)
 {
-    opts.engine = engine;
     SystemConfig cfg;
     EventLog log;
     MarkingSink sink(stride, log);
@@ -185,10 +183,9 @@ runScratch(const Program &prog, ArchKind arch, BackupPolicy &policy,
 /** Forked run: resume from one snapshot and run to the end. */
 Fingerprint
 runFork(const Program &prog, ArchKind arch, BackupPolicy &policy,
-        const HarvestTrace &trace, RunOptions opts, EngineKind engine,
+        const HarvestTrace &trace, RunOptions opts,
         const MachineSnapshot &snap)
 {
-    opts.engine = engine;
     opts.snapshots = nullptr;
     opts.resumeFrom = &snap;
     SystemConfig cfg;
@@ -240,22 +237,22 @@ samplePoints(size_t n)
     return idx;
 }
 
-/** Run scratch + sampled forks on one engine and compare. */
+/** Run scratch + sampled forks and compare. */
 void
 expectForksAgree(const Program &prog, ArchKind arch,
                  BackupPolicy &policy, const HarvestTrace &trace,
-                 const RunOptions &opts, EngineKind engine,
-                 uint64_t stride, const std::string &what)
+                 const RunOptions &opts, uint64_t stride,
+                 const std::string &what)
 {
     std::vector<MarkedSnapshot> snaps;
     policy.reset();
-    Fingerprint scratch = runScratch(prog, arch, policy, trace, opts,
-                                     engine, stride, snaps);
+    Fingerprint scratch =
+        runScratch(prog, arch, policy, trace, opts, stride, snaps);
     EXPECT_FALSE(snaps.empty()) << what << ": no safe points captured";
     for (size_t i : samplePoints(snaps.size())) {
         policy.reset();
-        Fingerprint fork = runFork(prog, arch, policy, trace, opts,
-                                   engine, *snaps[i].snap);
+        Fingerprint fork =
+            runFork(prog, arch, policy, trace, opts, *snaps[i].snap);
         expectForkIdentical(scratch, fork, snaps[i].eventsAtCapture,
                             what + " fork@" + std::to_string(i));
     }
@@ -265,18 +262,9 @@ const std::vector<ArchKind> kAllArchs = {
     ArchKind::Ideal, ArchKind::Clank, ArchKind::ClankOriginal,
     ArchKind::Task,  ArchKind::Nvmr,  ArchKind::Hoop};
 
-const std::vector<EngineKind> kEngines = {EngineKind::Interp,
-                                          EngineKind::Threaded};
-
-const char *
-engineName(EngineKind e)
-{
-    return e == EngineKind::Interp ? "interp" : "threaded";
-}
-
 } // namespace
 
-TEST(SnapshotEquiv, EveryWorkloadEveryArchBothEngines)
+TEST(SnapshotEquiv, EveryWorkloadEveryArch)
 {
     HarvestTrace trace(TraceKind::Rf, 7, 8.0);
     JitPolicy jit;
@@ -285,11 +273,8 @@ TEST(SnapshotEquiv, EveryWorkloadEveryArchBothEngines)
     for (const WorkloadInfo &w : allWorkloads()) {
         Program prog = assembleWorkload(w.name);
         for (ArchKind arch : kAllArchs)
-            for (EngineKind engine : kEngines)
-                expectForksAgree(prog, arch, jit, trace, opts, engine,
-                                 /*stride=*/8,
-                                 w.name + "/" + archKindName(arch) +
-                                     "/" + engineName(engine));
+            expectForksAgree(prog, arch, jit, trace, opts, /*stride=*/8,
+                             w.name + "/" + archKindName(arch));
     }
 }
 
@@ -304,27 +289,21 @@ TEST(SnapshotEquiv, CrashScheduleForksLandIdentically)
     Program prog = assembleWorkload("hist");
     for (ArchKind arch :
          {ArchKind::Clank, ArchKind::Nvmr, ArchKind::Hoop}) {
-        for (EngineKind engine : kEngines) {
-            RunOptions persist;
-            persist.validate = false;
-            persist.faults.enabled = true;
-            persist.faults.crashAtPersist = 6;
-            expectForksAgree(prog, arch, jit, trace, persist, engine,
-                             /*stride=*/2,
-                             std::string("crash-at-persist/") +
-                                 archKindName(arch) + "/" +
-                                 engineName(engine));
+        RunOptions persist;
+        persist.validate = false;
+        persist.faults.enabled = true;
+        persist.faults.crashAtPersist = 6;
+        expectForksAgree(prog, arch, jit, trace, persist, /*stride=*/2,
+                         std::string("crash-at-persist/") +
+                             archKindName(arch));
 
-            RunOptions cycle;
-            cycle.validate = false;
-            cycle.faults.enabled = true;
-            cycle.faults.crashAtCycle = 200000;
-            expectForksAgree(prog, arch, jit, trace, cycle, engine,
-                             /*stride=*/2,
-                             std::string("crash-at-cycle/") +
-                                 archKindName(arch) + "/" +
-                                 engineName(engine));
-        }
+        RunOptions cycle;
+        cycle.validate = false;
+        cycle.faults.enabled = true;
+        cycle.faults.crashAtCycle = 200000;
+        expectForksAgree(prog, arch, jit, trace, cycle, /*stride=*/2,
+                         std::string("crash-at-cycle/") +
+                             archKindName(arch));
     }
 }
 
@@ -340,24 +319,18 @@ TEST(SnapshotEquiv, WatchdogAndNonePolicies)
         // The ideal architecture is only safe under perfect JIT.
         if (arch == ArchKind::Ideal)
             continue;
-        for (EngineKind engine : kEngines)
-            expectForksAgree(prog, arch, watchdog, trace, opts, engine,
-                             /*stride=*/8,
-                             std::string("watchdog/") +
-                                 archKindName(arch) + "/" +
-                                 engineName(engine));
+        expectForksAgree(prog, arch, watchdog, trace, opts, /*stride=*/8,
+                         std::string("watchdog/") + archKindName(arch));
     }
-    for (EngineKind engine : kEngines)
-        expectForksAgree(prog, ArchKind::Task, none, trace, opts,
-                         engine, /*stride=*/8,
-                         std::string("none/task/") + engineName(engine));
+    expectForksAgree(prog, ArchKind::Task, none, trace, opts,
+                     /*stride=*/8, "none/task");
 }
 
 TEST(SnapshotEquiv, SeededRandomPrograms)
 {
     // The fuzzer's program family through the fork path: each seeded
     // program rotates through a grid covering every scheme, forking
-    // from the middle snapshot on both engines.
+    // from sampled snapshots.
     struct Case
     {
         ArchKind arch;
@@ -383,12 +356,10 @@ TEST(SnapshotEquiv, SeededRandomPrograms)
         auto policy = makePolicy(spec);
         RunOptions opts;
         opts.validate = false;
-        for (EngineKind engine : kEngines)
-            expectForksAgree(prog, c.arch, *policy, trace, opts,
-                             engine, /*stride=*/4,
-                             "randprog seed " + std::to_string(seed) +
-                                 " on " + archKindName(c.arch) + "/" +
-                                 policyKindName(c.policy) + "/" +
-                                 engineName(engine));
+        expectForksAgree(prog, c.arch, *policy, trace, opts,
+                         /*stride=*/4,
+                         "randprog seed " + std::to_string(seed) + " on " +
+                             archKindName(c.arch) + "/" +
+                             policyKindName(c.policy));
     }
 }

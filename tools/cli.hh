@@ -20,7 +20,6 @@
 #include "power/policy.hh"
 #include "power/trace.hh"
 #include "sim/config.hh"
-#include "sim/engine.hh"
 
 namespace nvmr::cli
 {
@@ -41,26 +40,6 @@ handleJobsArg(int argc, char **argv, int &i)
     if (i + 1 >= argc)
         fatal("missing value for --jobs");
     par::setGlobalJobs(par::parseJobsValue(argv[++i]));
-    return true;
-}
-
-/**
- * Handle an `--engine NAME` argument pair inside a tool's arg loop:
- * when argv[i] is `--engine`, consume its value (interp | threaded)
- * and wire it into the engine selection (setGlobalEngine). The
- * NVMR_ENGINE environment variable provides the same control without
- * a flag. Both engines produce bit-identical results, so the choice
- * is a host-side speed knob and never enters a config spec
- * (docs/performance.md, "Execution engines").
- */
-inline bool
-handleEngineArg(int argc, char **argv, int &i)
-{
-    if (std::strcmp(argv[i], "--engine") != 0)
-        return false;
-    if (i + 1 >= argc)
-        fatal("missing value for --engine");
-    setGlobalEngine(parseEngineKind(argv[++i]));
     return true;
 }
 

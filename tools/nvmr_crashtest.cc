@@ -103,7 +103,6 @@ usage()
         "or all cores;\n"
         "                        --threads is an alias)\n"
         "  --smoke               fixed small subset for CI (<30 s)\n"
-        "  --engine NAME         interp | threaded execution engine\n"
         "  --stats-json FILE     write the sweep manifest as JSON\n"
         "  --metrics FILE        live heartbeat snapshots "
         "(docs/observability.md)\n"
@@ -158,7 +157,7 @@ crashConfig()
 
 RunResult
 runOnce(const Program &prog, ArchKind arch, const FaultConfig &faults,
-        const GoldenResult &golden, bool *matched,
+        const GoldenImage &golden, bool *matched,
         uint64_t budget_cycles = 0,
         const MachineSnapshot *from = nullptr,
         std::vector<uint8_t> *image_out = nullptr)
@@ -260,16 +259,12 @@ exploreCombo(campaign::Campaign &cam, const std::string &workload,
     // are always prepared on the main thread (workers must not race
     // the assembler caches).
     Program prog;
-    GoldenResult golden;
-    bool have_prog = false;
+    std::shared_ptr<const GoldenImage> golden;
     auto ensureProg = [&]() {
-        if (have_prog)
+        if (golden)
             return;
         prog = assembleWorkload(workload);
-        golden = runContinuous(prog);
-        fatal_if(!golden.halted, "golden run of ", workload,
-                 " did not halt");
-        have_prog = true;
+        golden = goldenFor(prog);
     };
 
     // Census cell: fault layer on, nothing armed. Records the
@@ -314,7 +309,7 @@ exploreCombo(campaign::Campaign &cam, const std::string &workload,
                     std::to_string(ctx.budgetCycles) + " cycles"};
             CensusResult c;
             c.completed = r.completed &&
-                          sim.validateAgainstGolden(golden);
+                          sim.validateAgainstGolden(*golden);
             c.totalCycles = r.totalCycles;
             c.windows = sim.faultInjector().backupWindows();
             return campaign::encodeCensus(c);
@@ -411,7 +406,7 @@ exploreCombo(campaign::Campaign &cam, const std::string &workload,
             bool matched = false;
             const MachineSnapshot *from =
                 nearestSnapshot(snaps, cp);
-            RunResult r = runOnce(prog, arch, faults, golden,
+            RunResult r = runOnce(prog, arch, faults, *golden,
                                   &matched, ctx.budgetCycles, from);
             if (ctx.budgetCycles && !r.completed)
                 throw campaign::CellTimeout{
@@ -444,10 +439,10 @@ exploreCombo(campaign::Campaign &cam, const std::string &workload,
             faults.crashAtCycle = cp.cycle;
             bool m_fork = false, m_scratch = false;
             std::vector<uint8_t> img_fork, img_scratch;
-            RunResult r_fork = runOnce(prog, arch, faults, golden,
+            RunResult r_fork = runOnce(prog, arch, faults, *golden,
                                        &m_fork, 0, from, &img_fork);
             RunResult r_scratch =
-                runOnce(prog, arch, faults, golden, &m_scratch, 0,
+                runOnce(prog, arch, faults, *golden, &m_scratch, 0,
                         nullptr, &img_scratch);
             ++verified;
             if (sameRun(r_fork, r_scratch) &&
@@ -525,8 +520,6 @@ main(int argc, char **argv)
     };
 
     for (int i = 1; i < argc; ++i) {
-        if (cli::handleEngineArg(argc, argv, i))
-            continue;
         if (cli::handleCampaignArg(argc, argv, i, copts))
             continue;
         if (cli::handleTelemetryArg(argc, argv, i, topts))

@@ -18,7 +18,6 @@
  *     nvmr_diff --bug rename_alias      # seeded-bug demo: catch,
  *                                       # shrink, save a .repro
  *     nvmr_diff --jobs 8                # worker count (or NVMR_JOBS)
- *     nvmr_diff --engine threaded       # engine (or NVMR_ENGINE)
  *     nvmr_diff --journal d.jrn         # checkpoint; --resume d.jrn
  *     nvmr_diff --metrics m.json        # heartbeat snapshots
  *
@@ -366,7 +365,6 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (cli::handleJobsArg(argc, argv, i)) {
-        } else if (cli::handleEngineArg(argc, argv, i)) {
         } else if (cli::handleCampaignArg(argc, argv, i, copts)) {
         } else if (cli::handleTelemetryArg(argc, argv, i, topts)) {
         } else if (std::strcmp(argv[i], "--schedules") == 0) {

@@ -18,7 +18,6 @@
  *     nvmr_fuzz --one SEED IDX  # re-run one (seed, case) pair -- the
  *                               # command a failure prints
  *     nvmr_fuzz --jobs 8 2000   # worker count (or NVMR_JOBS)
- *     nvmr_fuzz --engine threaded 2000   # engine (or NVMR_ENGINE)
  *     nvmr_fuzz --journal f.jrn 2000   # checkpoint; --resume f.jrn
  *     nvmr_fuzz --metrics m.json 2000  # heartbeat snapshots
  *
@@ -135,7 +134,6 @@ main(int argc, char **argv)
     int npos = 0;
     for (int i = 1; i < argc; ++i) {
         if (cli::handleJobsArg(argc, argv, i)) {
-        } else if (cli::handleEngineArg(argc, argv, i)) {
         } else if (cli::handleCampaignArg(argc, argv, i, copts)) {
         } else if (cli::handleTelemetryArg(argc, argv, i, topts)) {
         } else if (std::strcmp(argv[i], "--faults") == 0) {

@@ -10,7 +10,6 @@
  *     nvmr_serve --spool DIR --once          # drain the spool, exit
  *     nvmr_serve --spool DIR --resume        # continue after a crash
  *     nvmr_serve --spool DIR --jobs 8        # worker width
- *     nvmr_serve --spool DIR --engine threaded  # default engine
  *     nvmr_serve --spool DIR --state DIR     # journals/outputs here
  *                                            # (default SPOOL/.nvmr_serve)
  *     --poll-ms N            spool scan period when idle (500)
@@ -61,8 +60,6 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         if (cli::handleJobsArg(argc, argv, i))
-            continue;
-        if (cli::handleEngineArg(argc, argv, i))
             continue;
         std::string a = argv[i];
         if (a == "--spool") {

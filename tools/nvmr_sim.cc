@@ -75,10 +75,7 @@ usage()
         "  --trace-bin FILE      write the compact binary trace\n"
         "  --metrics FILE        host heartbeat snapshots "
         "(docs/observability.md)\n"
-        "  --prof-json FILE      Perfetto host-span trace\n"
-        "  --engine NAME         interp | threaded execution engine\n"
-        "                        (bit-identical results; "
-        "docs/performance.md)\n");
+        "  --prof-json FILE      Perfetto host-span trace\n");
 }
 
 } // namespace
@@ -112,8 +109,6 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         if (cli::handleTelemetryArg(argc, argv, i, topts))
-            continue;
-        if (cli::handleEngineArg(argc, argv, i))
             continue;
         std::string a = argv[i];
         if (a == "--list") {

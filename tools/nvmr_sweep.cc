@@ -9,7 +9,6 @@
  *     nvmr_sweep --traces 3 --archs clank,nvmr --caps 0.1,0.0075
  *     nvmr_sweep --workloads hist --stats-json sweep.json
  *     nvmr_sweep --jobs 8                      # worker count
- *     nvmr_sweep --engine threaded             # execution engine
  *     nvmr_sweep --journal sweep.jrn           # checkpoint cells
  *     nvmr_sweep --resume sweep.jrn            # skip finished cells
  *     nvmr_sweep --watchdog-cycles 50000000    # quarantine hangs
@@ -106,8 +105,6 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         if (cli::handleJobsArg(argc, argv, i))
-            continue;
-        if (cli::handleEngineArg(argc, argv, i))
             continue;
         if (cli::handleCampaignArg(argc, argv, i, copts))
             continue;

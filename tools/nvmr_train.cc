@@ -59,8 +59,6 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (cli::handleJobsArg(argc, argv, i))
             continue;
-        if (cli::handleEngineArg(argc, argv, i))
-            continue;
         if (cli::handleCampaignArg(argc, argv, i, copts))
             continue;
         if (cli::handleTelemetryArg(argc, argv, i, topts))
@@ -86,7 +84,7 @@ main(int argc, char **argv)
     }
     fatal_if(out_path.empty(),
              "usage: nvmr_train OUT.model [-a arch] [-w w1,w2] "
-             "[--cap F] [--engine NAME]");
+             "[--cap F]");
 
     ArchKind arch;
     if (arch_name == "clank")
