@@ -437,17 +437,9 @@ Word
 IntermittentArch::inspectWord(Addr addr) const
 {
     Addr block = addr & ~(cfg.cache.blockBytes - 1);
-    // Walk the cache without charging energy.
-    Word result = 0;
-    bool found = false;
-    cache.forEachLine([&](const CacheLine &line) {
-        if (line.valid && line.blockAddr == block) {
-            result = line.data[(addr - block) / kWordBytes];
-            found = true;
-        }
-    });
-    if (found)
-        return result;
+    // Probe the cache without charging energy.
+    if (const CacheLine *line = cache.peek(block))
+        return line->data[(addr - block) / kWordBytes];
     Addr mapped = inspectMapping(block) + (addr - block);
     return nvm.inspectWord(mapped);
 }

@@ -286,16 +286,8 @@ Word
 HoopArch::inspectWord(Addr addr) const
 {
     Addr block = addr & ~(cfg.cache.blockBytes - 1);
-    Word result = 0;
-    bool found = false;
-    cache.forEachLine([&](const CacheLine &line) {
-        if (line.valid && line.blockAddr == block) {
-            result = line.data[(addr - block) / kWordBytes];
-            found = true;
-        }
-    });
-    if (found)
-        return result;
+    if (const CacheLine *line = cache.peek(block))
+        return line->data[(addr - block) / kWordBytes];
     return backingWord(addr);
 }
 

@@ -32,18 +32,21 @@ MtcEntry *
 MapTableCache::lookup(Addr tag)
 {
     sink.consumeOverhead(tech.mtCacheAccessNj);
-    uint32_t set = setOf(tag);
-    for (uint32_t w = 0; w < ways; ++w) {
-        MtcEntry &e = slots[set * ways + w];
-        if (e.valid && e.tag == tag) {
-            e.lruTick = ++tick;
-            if (tracer)
-                tracer->record(EventKind::MtcHit, tag);
-            return &e;
-        }
-    }
+    auto *e = const_cast<MtcEntry *>(peek(tag));
+    if (e)
+        e->lruTick = ++tick;
     if (tracer)
-        tracer->record(EventKind::MtcMiss, tag);
+        tracer->record(e ? EventKind::MtcHit : EventKind::MtcMiss, tag);
+    return e;
+}
+
+const MtcEntry *
+MapTableCache::peek(Addr tag) const
+{
+    const MtcEntry *e = &slots[setOf(tag) * ways];
+    for (uint32_t w = 0; w < ways; ++w, ++e)
+        if (e->valid && e->tag == tag)
+            return e;
     return nullptr;
 }
 
@@ -85,6 +88,14 @@ void
 MapTableCache::install(MtcEntry &slot, Addr tag, Addr old_map,
                        Addr new_map, bool dirty, bool in_map_table)
 {
+#if NVMR_DEBUG_ASSERTS
+    size_t at = static_cast<size_t>(&slot - slots.data());
+    debug_assert(at / ways == setOf(tag), "install of tag ", tag,
+                 " outside its set");
+    const MtcEntry *resident = peek(tag);
+    debug_assert(!resident || resident == &slot, "tag ", tag,
+                 " installed while already valid in another way");
+#endif
     sink.consumeOverhead(tech.mtCacheAccessNj);
     if (slot.valid) {
         if (residency)
@@ -114,16 +125,11 @@ MapTableCache::install(MtcEntry &slot, Addr tag, Addr old_map,
 void
 MapTableCache::invalidateTag(Addr tag)
 {
-    uint32_t set = setOf(tag);
-    for (uint32_t w = 0; w < ways; ++w) {
-        MtcEntry &e = slots[set * ways + w];
-        if (e.valid && e.tag == tag) {
-            markClean(e);
-            if (!e.inMapTable)
-                --newTagCnt;
-            e.valid = false;
-            return;
-        }
+    if (auto *e = const_cast<MtcEntry *>(peek(tag))) {
+        markClean(*e);
+        if (!e->inMapTable)
+            --newTagCnt;
+        e->valid = false;
     }
 }
 

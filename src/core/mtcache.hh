@@ -64,11 +64,22 @@ class MapTableCache
     /** Accounted lookup; refreshes LRU on hit, nullptr on miss. */
     MtcEntry *lookup(Addr tag);
 
+    /** The valid entry for a tag, or nullptr, without side effects:
+     *  searches only the tag's set, charges nothing, records no event
+     *  and leaves LRU alone (validation probes with it; lookup()
+     *  builds on it). install() only ever fills a slot of the tag's
+     *  own set (through victim()), so a valid tag lives in that set
+     *  and at most once. */
+    const MtcEntry *peek(Addr tag) const;
+
     /** Choose the fill victim for a tag (invalid way preferred,
      *  else LRU). The caller handles a dirty victim (backup). */
     MtcEntry &victim(Addr tag);
 
-    /** Install an entry into a line obtained from victim(). */
+    /** Install an entry into a line obtained from victim(). Debug
+     *  builds check the slot is in the tag's set and the tag is not
+     *  already valid in another way (the invariant peek() relies
+     *  on). */
     void install(MtcEntry &slot, Addr tag, Addr old_map, Addr new_map,
                  bool dirty, bool in_map_table);
 

@@ -504,17 +504,10 @@ NvmrArch::inspectMapping(Addr addr) const
 {
     Addr block = addr & ~(cfg.cache.blockBytes - 1);
     Addr mapped = block;
-    bool found = false;
-    mtc.forEach([&](const MtcEntry &entry) {
-        if (entry.valid && entry.tag == block) {
-            mapped = entry.newMap;
-            found = true;
-        }
-    });
-    if (!found) {
-        if (auto m = mapTable.peek(block))
-            mapped = *m;
-    }
+    if (const MtcEntry *entry = mtc.peek(block))
+        mapped = entry->newMap;
+    else if (auto m = mapTable.peek(block))
+        mapped = *m;
     return mapped + (addr - block);
 }
 

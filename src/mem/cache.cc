@@ -36,12 +36,6 @@ DataCache::DataCache(const CacheConfig &config, const TechParams &params,
     }
 }
 
-uint32_t
-DataCache::setOf(Addr block_addr) const
-{
-    return (block_addr >> blockShift) & setMask;
-}
-
 CacheLine &
 DataCache::victim(Addr block_addr)
 {
@@ -63,6 +57,14 @@ DataCache::fill(CacheLine &line, Addr block_addr,
 {
     panic_if(data.size() != cfg.wordsPerBlock(),
              "fill with wrong block size");
+#if NVMR_DEBUG_ASSERTS
+    size_t slot = static_cast<size_t>(&line - lines.data());
+    debug_assert(slot / cfg.ways == setOf(block_addr),
+                 "fill of block ", block_addr, " outside its set");
+    const CacheLine *resident = peek(block_addr);
+    debug_assert(!resident || resident == &line, "block ", block_addr,
+                 " filled while already cached in another way");
+#endif
     sink.consume(tech.cacheAccessNj);
     line.valid = true;
     line.markClean();

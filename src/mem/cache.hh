@@ -200,16 +200,32 @@ class DataCache
     {
         debug_assert((block_addr & blockMask) == 0,
                      "lookup of unaligned block address ", block_addr);
-        uint32_t set = (block_addr >> blockShift) & setMask;
-        CacheLine *way = &lines[set * cfg.ways];
-        for (uint32_t w = 0; w < cfg.ways; ++w, ++way) {
-            if (way->valid && way->blockAddr == block_addr) {
-                way->lruTick = ++tick;
-                ++_hits;
-                return way;
-            }
+        auto *line = const_cast<CacheLine *>(peek(block_addr));
+        if (line) {
+            line->lruTick = ++tick;
+            ++_hits;
+        } else {
+            ++_misses;
         }
-        ++_misses;
+        return line;
+    }
+
+    /**
+     * The valid line holding a block, or nullptr, without side
+     * effects: searches only the block's set, charges nothing, counts
+     * no hit or miss and leaves LRU alone, so validation can probe
+     * with it without perturbing the simulation (lookups build on
+     * it). fill() only ever installs into the block's own set
+     * (through victim()), so a valid block lives in that set and at
+     * most once.
+     */
+    const CacheLine *
+    peek(Addr block_addr) const
+    {
+        const CacheLine *way = &lines[setOf(block_addr) * cfg.ways];
+        for (uint32_t w = 0; w < cfg.ways; ++w, ++way)
+            if (way->valid && way->blockAddr == block_addr)
+                return way;
         return nullptr;
     }
 
@@ -223,7 +239,9 @@ class DataCache
     /**
      * Install a block into a line previously obtained from victim().
      * Data is copied; LBF resets to Unknown; line becomes valid,
-     * clean, LRU-refreshed. Charges one SRAM access.
+     * clean, LRU-refreshed. Charges one SRAM access. Debug builds
+     * check the line is in the block's set and the block is not
+     * already cached elsewhere (the invariant peek() relies on).
      */
     void fill(CacheLine &line, Addr block_addr,
               const std::vector<Word> &data);
@@ -292,7 +310,11 @@ class DataCache
     uint32_t blockShift = 0;
     uint32_t setMask = 0;
 
-    uint32_t setOf(Addr block_addr) const;
+    uint32_t
+    setOf(Addr block_addr) const
+    {
+        return (block_addr >> blockShift) & setMask;
+    }
 };
 
 } // namespace nvmr

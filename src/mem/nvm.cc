@@ -14,7 +14,17 @@ Nvm::Nvm(uint32_t size_bytes, const TechParams &params, EnergySink &snk)
 {
     fatal_if(size_bytes == 0 || size_bytes % kWordBytes != 0,
              "NVM size must be a positive multiple of the word size");
-    wear.assign(size_bytes / kWordBytes, 0);
+    uint32_t words = size_bytes / kWordBytes;
+    wear.resize((words + kWearChunkWords - 1) / kWearChunkWords);
+}
+
+uint32_t &
+Nvm::wearSlot(uint32_t idx)
+{
+    std::unique_ptr<WearChunk> &chunk = wear[idx / kWearChunkWords];
+    if (!chunk)
+        chunk = std::make_unique<WearChunk>(); // value-initialised: 0
+    return (*chunk)[idx % kWearChunkWords];
 }
 
 uint32_t
@@ -57,10 +67,11 @@ Nvm::writeWord(Addr addr, Word value)
     if (faults && faults->enabled())
         faults->persistPoint();
     ++writes;
-    if (wear[idx] == 0)
+    uint32_t &count = wearSlot(idx);
+    if (count == 0)
         wornIdx.push_back(idx);
-    if (++wear[idx] > peakWear)
-        peakWear = wear[idx];
+    if (++count > peakWear)
+        peakWear = count;
     sink.addCycles(tech.flashWriteCycles);
     sink.consume(tech.flashWriteWordNj);
     if (tracer) {
@@ -75,7 +86,7 @@ Nvm::writeWord(Addr addr, Word value)
     }
     pokeWord(addr, value);
     if (faults && faults->enabled())
-        faults->onWordWritten(addr, wear[idx]);
+        faults->onWordWritten(addr, count);
 }
 
 Word
@@ -118,7 +129,8 @@ Nvm::loadImage(Addr base, const std::vector<uint8_t> &image)
 uint64_t
 Nvm::wearOf(Addr addr) const
 {
-    return wear[addr / kWordBytes];
+    panic_if(addr >= size, "NVM wear query out of range: ", addr);
+    return wearAt(addr / kWordBytes);
 }
 
 uint64_t
@@ -133,7 +145,7 @@ Nvm::wearPercentile(double p) const
     std::vector<uint32_t> worn;
     worn.reserve(wornIdx.size());
     for (uint32_t i : wornIdx)
-        worn.push_back(wear[i]);
+        worn.push_back(wearAt(i));
     if (worn.empty())
         return 0;
     std::sort(worn.begin(), worn.end());
@@ -157,7 +169,7 @@ Nvm::saveState(StateWriter &w) const
     w.u64(wornIdx.size());
     for (uint32_t i : wornIdx) {
         w.u32(i);
-        w.u32(wear[i]);
+        w.u32(wearAt(i));
     }
     w.u32(peakWear);
     w.u64(writes);
@@ -170,16 +182,17 @@ Nvm::restoreState(StateReader &r)
     // Clear this run's worn words before applying the snapshot's: the
     // two sets need not overlap.
     for (uint32_t i : wornIdx)
-        wear[i] = 0;
+        wearSlot(i) = 0;
     wornIdx.clear();
     uint64_t n = r.u64();
     wornIdx.reserve(n);
     for (uint64_t k = 0; k < n; ++k) {
         uint32_t i = r.u32();
         uint32_t wr = r.u32();
-        panic_if(i >= wear.size(), "snapshot wear index out of range");
+        panic_if(i >= size / kWordBytes,
+                 "snapshot wear index out of range");
         wornIdx.push_back(i);
-        wear[i] = wr;
+        wearSlot(i) = wr;
     }
     peakWear = r.u32();
     writes = r.u64();
@@ -189,10 +202,10 @@ Nvm::restoreState(StateReader &r)
 void
 Nvm::resetStats()
 {
-    // Clear only the worn words; the rest of the wear vector is
+    // Clear only the worn words; the rest of the wear table is
     // already zero (megabytes of NVM, a small write footprint).
     for (uint32_t i : wornIdx)
-        wear[i] = 0;
+        wearSlot(i) = 0;
     wornIdx.clear();
     peakWear = 0;
     writes = 0;

@@ -9,7 +9,9 @@
 #define NVMR_MEM_NVM_HH
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -83,7 +85,8 @@ class Nvm
     /** Load a byte image starting at the given address. */
     void loadImage(Addr base, const std::vector<uint8_t> &image);
 
-    /** Number of accounted writes to the word containing addr. */
+    /** Number of accounted writes to the word containing addr (any
+     *  alignment; panics past the end of the NVM). */
     uint64_t wearOf(Addr addr) const;
 
     /** Maximum accounted writes to any single word (wear-out). */
@@ -115,7 +118,7 @@ class Nvm
         std::sort(idx.begin(), idx.end());
         for (uint32_t i : idx)
             fn(static_cast<Addr>(i) * kWordBytes,
-               static_cast<uint64_t>(wear[i]));
+               static_cast<uint64_t>(wearAt(i)));
     }
 
     /** Total accounted word writes. */
@@ -161,13 +164,32 @@ class Nvm
     FaultInjector *faults = nullptr;
     TraceSink *tracer = nullptr;
     CowStore mem;
-    std::vector<uint32_t> wear;    // per word
+
+    /** Per-word wear counters, paged like the contents: one chunk per
+     *  COW page, allocated by the first accounted write into that
+     *  page. A chunk never allocated reads as all zero, so a run pays
+     *  for its write footprint, not the NVM capacity. */
+    static constexpr uint32_t kWearChunkWords =
+        CowStore::kPageBytes / kWordBytes;
+    using WearChunk = std::array<uint32_t, kWearChunkWords>;
+    std::vector<std::unique_ptr<WearChunk>> wear;
     std::vector<uint32_t> wornIdx; // word indices with wear > 0
     uint32_t peakWear = 0;         // running max over `wear`
     uint64_t writes = 0;
     uint64_t reads = 0;
 
     uint32_t wordIndex(Addr addr) const;
+
+    /** Wear of word `idx` (0 in a chunk never allocated). */
+    uint32_t
+    wearAt(uint32_t idx) const
+    {
+        const WearChunk *chunk = wear[idx / kWearChunkWords].get();
+        return chunk ? (*chunk)[idx % kWearChunkWords] : 0;
+    }
+
+    /** Wear counter of word `idx`, allocating its chunk if needed. */
+    uint32_t &wearSlot(uint32_t idx);
 };
 
 } // namespace nvmr

@@ -176,12 +176,12 @@ ThreadedEngine::session(unsigned &cancel_check)
     bool taken;
 
     // Inlined copy of Simulator::addCycles() for the retire path
-    // (mode is always Execute there, so applyEnergy/categoryFor
-    // reduce to the Forward pending slots). Going through the sink
-    // would cost five-plus cross-TU calls per instruction; the
-    // expressions below are copied verbatim so results stay
-    // bit-identical. Port-driven stall cycles (Nvm reads/writes)
-    // still go through the virtual sink, untouched.
+    // (mode is always Execute there, so charge() reduces to the
+    // Forward pending slots). Going through the sink would cost an
+    // out-of-line call per instruction; the expressions below are
+    // copied verbatim so results stay bit-identical. Port-driven
+    // stall cycles (Nvm reads/writes) still go through the virtual
+    // sink, untouched.
     const auto chargeCycles = [&](Cycles n)
 #if defined(__GNUC__)
         __attribute__((always_inline))
@@ -207,7 +207,7 @@ ThreadedEngine::session(unsigned &cancel_check)
         s.cap.e = e;
         s.account.pending[size_t(ECat::Forward)] += nj;
         if (e <= s.cap.eDead)
-            throw PowerFailure{}; // checkBrownout: never atomic here
+            throw PowerFailure{}; // brownOut(): never atomic here
         if (mt) {
             nj = dn * mtNjPerCycle;
             e = e > nj ? e - nj : 0.0;

@@ -145,22 +145,8 @@ Simulator::categoryFor(bool overhead) const
 }
 
 void
-Simulator::applyEnergy(NanoJoules nj, bool overhead)
+Simulator::brownOut()
 {
-    cap.drainNj(nj);
-    ECat cat = categoryFor(overhead);
-    if (mode == EMode::Execute)
-        account.spendPending(cat, nj);
-    else
-        account.spendCommitted(cat, nj);
-    checkBrownout();
-}
-
-void
-Simulator::checkBrownout()
-{
-    if (!cap.dead())
-        return;
     // A brown-out inside an atomic section used to be fatal; with
     // partial persists modeled it is just another torn backup the
     // recovery protocol handles. --strict-atomic restores the old
@@ -174,13 +160,13 @@ Simulator::checkBrownout()
 void
 Simulator::consume(NanoJoules nj)
 {
-    applyEnergy(nj, false);
+    charge(nj, false);
 }
 
 void
 Simulator::consumeOverhead(NanoJoules nj)
 {
-    applyEnergy(nj, true);
+    charge(nj, true);
 }
 
 void
@@ -217,10 +203,9 @@ Simulator::addCycles(Cycles n)
         refreshHarvestCache();
     activeCycles += n;
     double dn = static_cast<double>(n);
-    applyEnergy(dn * (cfg.tech.cpuCycleNj + cfg.tech.leakNjPerCycle),
-                false);
+    charge(dn * (cfg.tech.cpuCycleNj + cfg.tech.leakNjPerCycle), false);
     if (chargesMtLeak)
-        applyEnergy(dn * cfg.tech.mtCacheLeakNjPerCycle, true);
+        charge(dn * cfg.tech.mtCacheLeakNjPerCycle, true);
     injector.cyclePoint(totalCycles);
 }
 
@@ -445,7 +430,7 @@ void
 Simulator::handlePowerFailure()
 {
     // Under --strict-atomic any power loss inside an atomic section
-    // -- a genuine brown-out (already fatal in checkBrownout) or an
+    // -- a genuine brown-out (already fatal in brownOut) or an
     // injected crash -- is the old fatal error.
     panic_if(inAtomic && cfg.strictAtomic,
              "power failure inside an atomic operation "

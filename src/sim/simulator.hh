@@ -328,8 +328,32 @@ class Simulator : public EnergySink, public BackupHost
     void refreshHarvestCache();
     double harvestMwNow();
 
-    void applyEnergy(NanoJoules nj, bool overhead);
-    void checkBrownout();
+    /**
+     * One energy charge, inline in every sink entry point: drain the
+     * capacitor, book the energy (in Execute mode straight into the
+     * Forward/ForwardOverhead pending slot, in the other modes through
+     * categoryFor()), then brown out if the supply died. Keep the
+     * operations and their order: the equivalence digest table pins
+     * every energy double bit for bit.
+     */
+    void
+    charge(NanoJoules nj, bool overhead)
+    {
+        cap.drainNj(nj);
+        if (mode == EMode::Execute)
+            account.spendPending(
+                overhead ? ECat::ForwardOverhead : ECat::Forward, nj);
+        else
+            account.spendCommitted(categoryFor(overhead), nj);
+        if (cap.dead())
+            brownOut();
+    }
+
+    /** The supply died: throw PowerFailure (or panic under
+     *  --strict-atomic inside an atomic section). Cold and out of
+     *  line so charge() stays a few instructions. */
+    [[noreturn, gnu::cold, gnu::noinline]] void brownOut();
+
     ECat categoryFor(bool overhead) const;
 
     /** Clear snapPending and invoke the sink (out of line so the

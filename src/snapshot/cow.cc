@@ -5,17 +5,35 @@
 namespace nvmr
 {
 
+namespace
+{
+
+/**
+ * The all-zero page every unwritten slot of every store points at.
+ * Slots pointing here are never owned, so ensureOwned() clones it
+ * before any write and it stays zero for the life of the process. The
+ * aliasing shared_ptr has no control block: copying it touches no
+ * refcount, so stores on different threads share it without contention
+ * (its use_count() is 0).
+ */
+const std::shared_ptr<CowStore::Page> &
+zeroPage()
+{
+    static CowStore::Page page{};
+    static const std::shared_ptr<CowStore::Page> ptr(
+        std::shared_ptr<CowStore::Page>(), &page);
+    return ptr;
+}
+
+} // namespace
+
 CowStore::CowStore(size_t bytes) : size(bytes)
 {
     static_assert(kPageBytes % kWordBytes == 0,
                   "page size must be a multiple of the word size");
     size_t npages = (bytes + kPageBytes - 1) / kPageBytes;
-    pages.reserve(npages);
-    for (size_t i = 0; i < npages; ++i) {
-        pages.push_back(std::make_shared<Page>());
-        pages.back()->data.fill(0);
-    }
-    owned.assign(npages, 1);
+    pages.assign(npages, zeroPage());
+    owned.assign(npages, 0);
 }
 
 void

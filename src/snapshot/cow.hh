@@ -5,6 +5,9 @@
  * A/B-active idiom from pmembench's InplaceCow, generalized to N
  * sharers); the first write to a shared page clones it. Snapshot cost
  * is O(pages) pointer copies, fork memory cost is O(dirty pages).
+ * A fresh store owns no pages: every slot points at one process-wide
+ * all-zero page, so a store's memory cost is the pages its program
+ * writes, not its capacity.
  */
 
 #ifndef NVMR_SNAPSHOT_COW_HH
@@ -40,6 +43,8 @@ class CowStore
     /** Shareable immutable view of the whole store at one instant. */
     using PageTable = std::vector<std::shared_ptr<Page>>;
 
+    /** A store of the given size that reads zero everywhere and owns
+     *  no pages (every slot shares the process-wide zero page). */
     explicit CowStore(size_t bytes);
 
     size_t sizeBytes() const { return size; }
@@ -106,7 +111,8 @@ class CowStore
     /** Pages this store holds exclusively (diagnostics/tests). */
     size_t ownedPages() const;
 
-    /** Refcount of one page (tests verify sharing/release). */
+    /** Refcount of one page (tests verify sharing/release); 0 for a
+     *  slot on the zero page, which is not refcounted. */
     long pageUseCount(size_t idx) const
     {
         panic_if(idx >= pages.size(), "page index out of range");

@@ -2,13 +2,15 @@
  * @file
  * Address bounds checks at the top of the 32-bit space: an access
  * whose end wraps past 2^32 must hit the documented panic instead of
- * slipping past the check and reading or writing out of bounds.
+ * slipping past the check and reading or writing out of bounds. A
+ * wear query past the end of the NVM panics the same way.
  */
 
 #include <gtest/gtest.h>
 
 #include "check/oracle.hh"
 #include "isa/assembler.hh"
+#include "mem/nvm.hh"
 #include "power/policy.hh"
 #include "sim/simulator.hh"
 
@@ -68,4 +70,19 @@ TEST(AddressBoundsDeathTest, NvmPanicsOnWrappingAccess)
             "NVM access out of range")
             << op;
     }
+}
+
+TEST(AddressBoundsDeathTest, NvmWearQueryPanicsPastTheEnd)
+{
+    constexpr uint32_t kBytes = 64 * 1024;
+    TechParams tech;
+    NullEnergySink sink;
+    Nvm nvm(kBytes, tech, sink);
+    nvm.writeWord(kBytes - kWordBytes, 1);
+    // Any byte of a word names that word, up to the last byte.
+    EXPECT_EQ(nvm.wearOf(kBytes - 1), 1u);
+    EXPECT_EQ(nvm.wearOf(0x42), 0u);
+    EXPECT_DEATH(nvm.wearOf(kBytes), "NVM wear query out of range");
+    EXPECT_DEATH(nvm.wearOf(0xfffffffeu),
+                 "NVM wear query out of range");
 }

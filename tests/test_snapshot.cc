@@ -42,11 +42,22 @@ TEST(CowStore, GeometryAndZeroFill)
     CowStore store(kStoreBytes);
     EXPECT_EQ(store.sizeBytes(), kStoreBytes);
     EXPECT_EQ(store.pageCount(), 4u);
-    // Freshly constructed stores own every page and read back zero.
-    EXPECT_EQ(store.ownedPages(), 4u);
+    // A fresh store reads zero everywhere and owns no pages: every
+    // slot shares the process-wide zero page until first written.
+    EXPECT_EQ(store.ownedPages(), 0u);
     EXPECT_EQ(store.read8(0), 0u);
     EXPECT_EQ(store.read8(kStoreBytes - 1), 0u);
     EXPECT_EQ(store.readWord(kPage), 0u);
+
+    // A write makes exactly that page owned.
+    store.write8(kPage + 7, 1);
+    EXPECT_EQ(store.ownedPages(), 1u);
+    EXPECT_EQ(store.pageUseCount(1), 1);
+    EXPECT_EQ(store.read8(kPage + 7), 1u);
+    EXPECT_EQ(store.read8(kPage + 6), 0u);
+    store.writeWord(3 * kPage, 0x01020304u); // the partial tail page
+    EXPECT_EQ(store.ownedPages(), 2u);
+    EXPECT_EQ(store.read8(0), 0u);
 }
 
 TEST(CowStore, ByteAndWordRoundTrip)
@@ -84,12 +95,16 @@ TEST(CowStore, SnapshotSharesPagesUntilFirstWrite)
     CowStore store(kStoreBytes);
     store.write8(0, 1);
     store.write8(kPage, 2);
+    EXPECT_EQ(store.ownedPages(), 2u);
 
     CowStore::PageTable snap = store.snapshotPages();
-    // Every page is now shared between the store and the snapshot.
+    // Every written page is now shared between the store and the
+    // snapshot; the unwritten ones are the zero page in both.
     EXPECT_EQ(store.ownedPages(), 0u);
-    for (size_t i = 0; i < store.pageCount(); ++i)
-        EXPECT_EQ(store.pageUseCount(i), 2) << "page " << i;
+    EXPECT_EQ(store.pageUseCount(0), 2);
+    EXPECT_EQ(store.pageUseCount(1), 2);
+    for (size_t i = 2; i < store.pageCount(); ++i)
+        EXPECT_EQ(snap[i].get(), snap[2].get()) << "page " << i;
 
     // First write to page 0 clones it; the other pages stay shared.
     store.write8(3, 99);
@@ -107,6 +122,12 @@ TEST(CowStore, SnapshotSharesPagesUntilFirstWrite)
     store.write8(4, 100);
     EXPECT_EQ(snap[0].get(), before);
     EXPECT_EQ(store.ownedPages(), 1u);
+
+    // Writing an unwritten page clones the zero page, not the
+    // snapshot's view of it.
+    store.write8(2 * kPage, 5);
+    EXPECT_EQ(store.ownedPages(), 2u);
+    EXPECT_EQ(snap[2]->data[0], 0u);
 }
 
 TEST(CowStore, ForkIsolation)
@@ -140,13 +161,45 @@ TEST(CowStore, ForkIsolation)
 TEST(CowStore, RefcountReleasesWhenSnapshotDropped)
 {
     CowStore store(kStoreBytes);
+    for (size_t i = 0; i < store.pageCount(); ++i)
+        store.write8(i * kPage, static_cast<uint8_t>(i + 1));
     {
         CowStore::PageTable snap = store.snapshotPages();
-        EXPECT_EQ(store.pageUseCount(0), 2);
+        for (size_t i = 0; i < store.pageCount(); ++i)
+            EXPECT_EQ(store.pageUseCount(i), 2) << "page " << i;
     }
     // Dropping the table releases every shared reference.
     for (size_t i = 0; i < store.pageCount(); ++i)
         EXPECT_EQ(store.pageUseCount(i), 1) << "page " << i;
+}
+
+TEST(CowStore, StoresNeverShareWritesThroughTheZeroPage)
+{
+    CowStore a(kStoreBytes);
+    CowStore b(kStoreBytes);
+    CowStore::PageTable before = a.snapshotPages();
+    const CowStore::Page *zero = before[0].get();
+
+    // Both stores start on the same zero page.
+    EXPECT_EQ(b.snapshotPages()[0].get(), zero);
+
+    a.writeWord(0, 0xdeadbeefu);
+    b.write8(kPage + 1, 7);
+    EXPECT_EQ(a.readWord(0), 0xdeadbeefu);
+    EXPECT_EQ(b.readWord(0), 0u);
+    EXPECT_EQ(a.read8(kPage + 1), 0u);
+    EXPECT_EQ(b.read8(kPage + 1), 7u);
+
+    // Each write cloned the zero page; the zero page itself stays
+    // all zero and is still what a third, fresh store starts on.
+    EXPECT_NE(a.snapshotPages()[0].get(), zero);
+    CowStore c(kStoreBytes);
+    CowStore::PageTable fresh = c.snapshotPages();
+    EXPECT_EQ(fresh[0].get(), zero);
+    for (uint8_t byte : zero->data)
+        ASSERT_EQ(byte, 0u);
+    for (Addr addr = 0; addr < kStoreBytes; addr += kWordBytes)
+        ASSERT_EQ(c.readWord(addr), 0u) << addr;
 }
 
 TEST(CowStore, SnapshotOfForkChain)
