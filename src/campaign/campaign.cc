@@ -291,4 +291,13 @@ Campaign::exitCode(int result_code) const
     return kExitOk;
 }
 
+void
+appendWatchdogSpec(std::string &spec, const Options &opts)
+{
+    spec += "|watchdog_cycles=";
+    spec += std::to_string(opts.watchdogCycles);
+    spec += "|watchdog_retries=";
+    spec += std::to_string(opts.watchdogRetries);
+}
+
 } // namespace nvmr::campaign

@@ -205,6 +205,11 @@ class Campaign
     std::vector<QuarantineEntry> quarantineList;
 };
 
+/** Append the watchdog knobs to a campaign config-spec string (they
+ *  shape per-cell results, so a resume must match them; --jobs and
+ *  output paths deliberately stay out). */
+void appendWatchdogSpec(std::string &spec, const Options &opts);
+
 /** Serialize / parse a Quarantine journal record payload. */
 std::string quarantinePayload(unsigned attempts,
                               const std::string &reason);

@@ -1,5 +1,6 @@
 #include "campaign/sig.hh"
 
+#include <atomic>
 #include <csignal>
 #include <cstdlib>
 
@@ -11,7 +12,11 @@ namespace nvmr::campaign
 namespace
 {
 
-volatile std::sig_atomic_t gSignal = 0;
+// Written by the handler, read by worker and monitor threads: a
+// lock-free atomic is both async-signal-safe and race-free, which a
+// volatile sig_atomic_t is not across threads.
+std::atomic<int> gSignal{0};
+static_assert(std::atomic<int>::is_always_lock_free);
 
 extern "C" void
 campaignSignalHandler(int signo)

@@ -4,42 +4,13 @@
 #include <cstdio>
 
 #include "campaign/journal.hh"
-#include "check/fuzzcases.hh"
-#include "check/repro.hh"
 #include "obs/json.hh"
-#include "workloads/workloads.hh"
 
 namespace nvmr::serve
 {
 
 namespace
 {
-
-std::string
-joinNames(const std::vector<std::string> &items)
-{
-    std::string out;
-    for (const std::string &s : items) {
-        if (!out.empty())
-            out += ',';
-        out += s;
-    }
-    return out;
-}
-
-/** Non-fatal workload validation: the registered set plus the hidden
- *  non-terminating "spin" (used to exercise deadline/quarantine
- *  paths; workloads/workloads.cc). */
-bool
-validWorkloadName(const std::string &name)
-{
-    if (name == "spin")
-        return true;
-    for (const WorkloadInfo &w : allWorkloads())
-        if (w.name == name)
-            return true;
-    return false;
-}
 
 bool
 wholeNumber(const JsonValue &v, uint64_t max, uint64_t &out,
@@ -80,42 +51,18 @@ stringList(const JsonValue &v, std::vector<std::string> &out,
 std::string
 JobSpec::configSpec() const
 {
-    if (type == JobType::Fuzz) {
-        std::string spec =
-            "fuzz|iterations=" + std::to_string(fuzz.iterations) +
-            "|base_seed=" + std::to_string(fuzz.baseSeed) +
-            "|faults=" + std::to_string(fuzz.faults ? 1 : 0) +
-            "|oracle=" + std::to_string(fuzz.oracle ? 1 : 0);
-        spec += "|watchdog_cycles=" + std::to_string(watchdogCycles);
-        spec += "|watchdog_retries=" +
-                std::to_string(watchdogRetries);
-        return spec;
-    }
-    std::string spec = "sweep|traces=" +
-                       std::to_string(sweep.traces) +
-                       "|archs=" + joinNames(sweep.archs) +
-                       "|policies=" + joinNames(sweep.policies);
-    spec += "|caps=";
-    for (size_t i = 0; i < sweep.caps.size(); ++i) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%s%.17g", i ? "," : "",
-                      sweep.caps[i]);
-        spec += buf;
-    }
-    spec += "|workloads=" + joinNames(sweep.workloads);
-    spec += "|watchdog_cycles=" + std::to_string(watchdogCycles);
-    spec += "|watchdog_retries=" + std::to_string(watchdogRetries);
-    return spec;
+    campaign::Options watchdog;
+    watchdog.watchdogCycles = watchdogCycles;
+    watchdog.watchdogRetries = watchdogRetries;
+    return type == JobType::Fuzz ? fuzzConfigSpec(fuzz, watchdog)
+                                 : campaign::sweepConfigSpec(sweep, watchdog);
 }
 
 uint64_t
 JobSpec::cellCount() const
 {
-    if (type == JobType::Fuzz)
-        return fuzz.iterations * fuzzCaseCount();
-    return static_cast<uint64_t>(sweep.workloads.size()) *
-           sweep.archs.size() * sweep.policies.size() *
-           sweep.caps.size();
+    return type == JobType::Fuzz ? fuzzCellCount(fuzz)
+                                 : campaign::sweepCellCount(sweep);
 }
 
 bool
@@ -182,36 +129,26 @@ parseJobText(const std::string &text, const std::string &name,
             if (!stringList(v, out.sweep.policies, error, key))
                 return false;
         } else if (key == "caps" && out.type == JobType::Sweep) {
-            if (!v.isArray() || v.arr.empty()) {
-                error = "key 'caps' must be a non-empty array of "
-                        "positive numbers";
+            if (!v.isArray()) {
+                error = "key 'caps' must be an array of numbers";
                 return false;
             }
             out.sweep.caps.clear();
             for (const JsonValue &e : v.arr) {
-                if (e.kind != JsonValue::Kind::Number ||
-                    e.num <= 0) {
-                    error = "key 'caps' must be a non-empty array "
-                            "of positive numbers";
+                if (e.kind != JsonValue::Kind::Number) {
+                    error = "key 'caps' must be an array of numbers";
                     return false;
                 }
                 out.sweep.caps.push_back(e.num);
             }
         } else if (key == "traces" && out.type == JobType::Sweep) {
-            if (!wholeNumber(v, 10, u, error, key) || u == 0) {
-                error = "key 'traces' must be a whole number in "
-                        "[1, 10]";
+            if (!wholeNumber(v, 1u << 30, u, error, key))
                 return false;
-            }
             out.sweep.traces = static_cast<int>(u);
         } else if (key == "iterations" && out.type == JobType::Fuzz) {
-            if (!wholeNumber(v, 1ull << 32, out.fuzz.iterations,
-                             error, key) ||
-                out.fuzz.iterations == 0) {
-                error = "key 'iterations' must be a positive whole "
-                        "number";
+            if (!wholeNumber(v, ~0ull >> 1, out.fuzz.iterations,
+                             error, key))
                 return false;
-            }
         } else if (key == "base_seed" && out.type == JobType::Fuzz) {
             if (!wholeNumber(v, ~0ull >> 1, out.fuzz.baseSeed,
                              error, key))
@@ -235,35 +172,9 @@ parseJobText(const std::string &text, const std::string &name,
         }
     }
 
-    if (out.type == JobType::Sweep) {
-        if (out.sweep.workloads.empty())
-            for (const WorkloadInfo &w : allWorkloads())
-                out.sweep.workloads.push_back(w.name);
-        for (const std::string &w : out.sweep.workloads)
-            if (!validWorkloadName(w)) {
-                error = "unknown workload '" + w + "'";
-                return false;
-            }
-        ArchKind arch;
-        for (const std::string &a : out.sweep.archs)
-            if (!archKindFromName(a, arch)) {
-                error = "unknown architecture '" + a + "'";
-                return false;
-            }
-        PolicyKind policy;
-        for (const std::string &p : out.sweep.policies)
-            if (!policyKindFromName(p, policy) ||
-                policy == PolicyKind::Spendthrift) {
-                error = "invalid policy '" + p +
-                        "' (valid: jit, watchdog, none)";
-                return false;
-            }
-        if (out.sweep.archs.empty() || out.sweep.policies.empty()) {
-            error = "archs and policies must be non-empty";
-            return false;
-        }
-    }
-    return true;
+    error = out.type == JobType::Sweep ? campaign::validateSweep(out.sweep)
+                                       : validateFuzz(out.fuzz);
+    return error.empty();
 }
 
 bool

@@ -30,7 +30,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
+
+#include "campaign/sweep.hh"
+#include "check/fuzzcases.hh"
 
 namespace nvmr::serve
 {
@@ -41,25 +43,6 @@ enum class JobType : uint8_t
 {
     Sweep, ///< nvmr_sweep grid -> CSV + manifest
     Fuzz,  ///< nvmr_fuzz grid -> text log + manifest
-};
-
-/** Sweep grid (mirrors nvmr_sweep's flags). */
-struct SweepParams
-{
-    std::vector<std::string> workloads; ///< empty = all registered
-    std::vector<std::string> archs = {"clank", "nvmr", "hoop"};
-    std::vector<std::string> policies = {"jit", "watchdog"};
-    std::vector<double> caps = {0.1};
-    int traces = 5;
-};
-
-/** Fuzz campaign (mirrors nvmr_fuzz's flags). */
-struct FuzzParams
-{
-    uint64_t iterations = 100;
-    uint64_t baseSeed = 1;
-    bool faults = false;
-    bool oracle = false;
 };
 
 /** One parsed spool job. */
@@ -80,7 +63,7 @@ struct JobSpec
     uint64_t watchdogCycles = 0;
     unsigned watchdogRetries = 2;
 
-    SweepParams sweep;
+    campaign::SweepParams sweep;
     FuzzParams fuzz;
 
     /** FNV-1a of the raw spool file bytes: detects edited jobs so a
@@ -98,7 +81,8 @@ struct JobSpec
 
 /** Parse one job document. `name` is the job name (filename minus
  *  ".job"). Returns false and fills `error` on malformed JSON, a
- *  wrong schema, unknown keys, or invalid grid values. */
+ *  wrong schema, unknown keys, or values the campaign's own
+ *  validation rejects (campaign::validateSweep, validateFuzz). */
 bool parseJobText(const std::string &text, const std::string &name,
                   JobSpec &out, std::string &error);
 

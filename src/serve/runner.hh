@@ -2,9 +2,10 @@
  * @file
  * Per-job execution for nvmr_serve: run one parsed JobSpec through
  * the crash-safe campaign layer (campaign/campaign.hh) on the shared
- * warm worker pool, producing exactly the artifacts the standalone
- * tools produce -- a sweep job writes the nvmr_sweep CSV, a fuzz job
- * the nvmr_fuzz log, both plus an `nvmr-run-manifest-v1` stats file.
+ * warm worker pool. A job runs the same campaign definition as the
+ * standalone tool (campaign/sweep.hh, check/fuzzcases.hh), so a sweep
+ * job writes the nvmr_sweep CSV and a fuzz job the nvmr_fuzz log,
+ * byte for byte, both plus an `nvmr-run-manifest-v1` stats file.
  * Outputs are written atomically (common/fsutil.hh) AFTER the
  * campaign finishes, and the per-job journal is fsync'd per cell, so
  * a SIGKILL at any point resumes to byte-identical outputs.

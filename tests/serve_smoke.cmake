@@ -4,7 +4,9 @@
 #  with --once and exit 0, leaves complete per-job outputs and a
 #  final nvmr-serve-v1 snapshot behind, and nvmr_report renders the
 #  snapshot (exit 2 on any schema violation, so exit 0 is the real
-#  assertion).
+#  assertion). Both jobs run the same campaign definitions as the
+#  tools: nvmr_sweep and nvmr_fuzz over the jobs' grids must print
+#  the jobs' .csv and .out byte for byte.
 #
 #  Phase B -- a degraded spool (a poison `spin` job with a wall-clock
 #  deadline, an unparseable job file, and the same healthy sweep job)
@@ -14,9 +16,10 @@
 #
 # Invoked by the `serve-smoke` ctest:
 #
-#   cmake -DSERVE=... -DREPORT=... -DWORKDIR=... -P serve_smoke.cmake
+#   cmake -DSERVE=... -DSWEEP=... -DFUZZ=... -DREPORT=... -DWORKDIR=... \
+#         -P serve_smoke.cmake
 
-foreach(var SERVE REPORT WORKDIR)
+foreach(var SERVE SWEEP FUZZ REPORT WORKDIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "pass -D${var}=... (see tests/CMakeLists.txt)")
     endif()
@@ -72,6 +75,28 @@ file(GLOB stray "${state_a}/*.tmp" "${state_a}/out/*.tmp")
 if(stray)
     message(FATAL_ERROR "atomic writes left temp files: ${stray}")
 endif()
+
+# The same grids through the standalone tools, byte for byte.
+function(expect_tool_parity artifact)
+    execute_process(
+        COMMAND ${ARGN} --jobs 2
+        OUTPUT_FILE "${WORKDIR}/tool_${artifact}"
+        RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "'${ARGN}' exited with ${rc}")
+    endif()
+    execute_process(
+        COMMAND ${CMAKE_COMMAND} -E compare_files
+                "${state_a}/out/${artifact}" "${WORKDIR}/tool_${artifact}"
+        RESULT_VARIABLE same)
+    if(NOT same EQUAL 0)
+        message(FATAL_ERROR
+                "serve job output ${artifact} differs from '${ARGN}'")
+    endif()
+endfunction()
+expect_tool_parity(sweep1.csv "${SWEEP}" --workloads hist
+                   --archs clank,nvmr --policies jit --traces 2)
+expect_tool_parity(fuzz1.out "${FUZZ}" --faults 10 3)
 
 file(READ "${state_a}/out/fuzz1.out" fuzz_log)
 string(FIND "${fuzz_log}" "no divergence" pos)
@@ -186,5 +211,5 @@ foreach(needle "retrying with doubled budget" "quarantined job poison"
     endif()
 endforeach()
 
-message(STATUS "serve smoke: drain, report, quarantine and degraded "
-               "modes OK")
+message(STATUS "serve smoke: drain, tool parity, report, quarantine and "
+               "degraded modes OK")

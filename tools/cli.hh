@@ -9,11 +9,15 @@
 #ifndef NVMR_TOOLS_CLI_HH
 #define NVMR_TOOLS_CLI_HH
 
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "campaign/campaign.hh"
+#include "check/repro.hh"
 #include "common/log.hh"
 #include "obs/heartbeat.hh"
 #include "par/par.hh"
@@ -23,6 +27,56 @@
 
 namespace nvmr::cli
 {
+
+/** Parse a whole decimal number; a value with anything else in it
+ *  (sign, trailing garbage, overflow) dies naming `what`. */
+inline uint64_t
+parseU64(const char *v, const std::string &what)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long out = std::strtoull(v, &end, 10);
+    fatal_if(*v < '0' || *v > '9' || *end != '\0' || errno == ERANGE,
+             "bad value '", v, "' for ", what,
+             " (need a whole number)");
+    return out;
+}
+
+/** Parse a number; trailing garbage dies naming `what`. */
+inline double
+parseDouble(const char *v, const std::string &what)
+{
+    char *end = nullptr;
+    double out = std::strtod(v, &end);
+    fatal_if(end == v || *end != '\0', "bad value '", v, "' for ",
+             what, " (need a number)");
+    return out;
+}
+
+/** Split a comma list, dropping empty items ("a,,b," -> a, b). */
+inline std::vector<std::string>
+splitList(const std::string &value)
+{
+    std::vector<std::string> out;
+    std::stringstream ss(value);
+    std::string item;
+    while (std::getline(ss, item, ','))
+        if (!item.empty())
+            out.push_back(item);
+    return out;
+}
+
+/** `--help` lines for the flags handleJobsArg, handleCampaignArg and
+ *  handleTelemetryArg take, ending in a blank line. */
+constexpr const char *kCampaignFlagsHelp =
+    "  --jobs N              worker count (or NVMR_JOBS)\n"
+    "  --journal FILE        checkpoint finished cells to FILE\n"
+    "  --resume FILE         skip cells already finished in FILE\n"
+    "  --watchdog-cycles N   per-cell simulated-cycle budget\n"
+    "  --watchdog-retries N  budget-doubling retries before quarantine\n"
+    "  --metrics FILE        host heartbeat snapshots\n"
+    "  --metrics-interval S  heartbeat period in seconds (default 5)\n"
+    "  --prof-json FILE      Perfetto host-span trace\n";
 
 /**
  * Handle a `--jobs N` argument pair inside a tool's arg loop: when
@@ -74,12 +128,12 @@ handleCampaignArg(int argc, char **argv, int &i,
         return true;
     }
     if (a == "--watchdog-cycles") {
-        opts.watchdogCycles = std::strtoull(need(), nullptr, 10);
+        opts.watchdogCycles = parseU64(need(), a);
         return true;
     }
     if (a == "--watchdog-retries") {
         opts.watchdogRetries =
-            static_cast<unsigned>(std::strtoul(need(), nullptr, 10));
+            static_cast<unsigned>(parseU64(need(), a));
         return true;
     }
     return false;
@@ -129,63 +183,33 @@ handleTelemetryArg(int argc, char **argv, int &i,
     return false;
 }
 
-/** Append the watchdog knobs to a campaign config-spec string (they
- *  shape per-cell results, so a resume must match them; --jobs and
- *  output paths deliberately stay out). */
-inline void
-appendWatchdogSpec(std::string &spec, const campaign::Options &opts)
-{
-    spec += "|watchdog_cycles=";
-    spec += std::to_string(opts.watchdogCycles);
-    spec += "|watchdog_retries=";
-    spec += std::to_string(opts.watchdogRetries);
-}
-
 inline ArchKind
 parseArchKind(const std::string &name)
 {
-    if (name == "ideal")
-        return ArchKind::Ideal;
-    if (name == "clank")
-        return ArchKind::Clank;
-    if (name == "clank_original")
-        return ArchKind::ClankOriginal;
-    if (name == "task")
-        return ArchKind::Task;
-    if (name == "nvmr")
-        return ArchKind::Nvmr;
-    if (name == "hoop")
-        return ArchKind::Hoop;
-    fatal("unknown architecture '", name,
-          "' (valid: ideal, clank, clank_original, task, nvmr, "
-          "hoop)");
+    ArchKind kind = ArchKind::Nvmr;
+    fatal_if(!archKindFromName(name, kind), "unknown architecture '",
+             name,
+             "' (valid: ideal, clank, clank_original, task, nvmr, "
+             "hoop)");
+    return kind;
 }
 
 inline PolicyKind
 parsePolicyKind(const std::string &name)
 {
-    if (name == "jit")
-        return PolicyKind::Jit;
-    if (name == "watchdog")
-        return PolicyKind::Watchdog;
-    if (name == "spendthrift")
-        return PolicyKind::Spendthrift;
-    if (name == "none")
-        return PolicyKind::None;
-    fatal("unknown policy '", name,
-          "' (valid: jit, watchdog, spendthrift, none)");
+    PolicyKind kind = PolicyKind::Jit;
+    fatal_if(!policyKindFromName(name, kind), "unknown policy '", name,
+             "' (valid: jit, watchdog, spendthrift, none)");
+    return kind;
 }
 
 inline TraceKind
 parseTraceKind(const std::string &name)
 {
-    if (name == "rf")
-        return TraceKind::Rf;
-    if (name == "solar")
-        return TraceKind::Solar;
-    if (name == "wind")
-        return TraceKind::Wind;
-    fatal("unknown trace kind '", name, "' (valid: rf, solar, wind)");
+    TraceKind kind = TraceKind::Rf;
+    fatal_if(!traceKindFromName(name, kind), "unknown trace kind '",
+             name, "' (valid: rf, solar, wind)");
+    return kind;
 }
 
 } // namespace nvmr::cli

@@ -121,25 +121,6 @@ parseArch(const std::string &name)
     return kind;
 }
 
-std::vector<std::string>
-splitList(const char *arg)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (const char *p = arg; *p; ++p) {
-        if (*p == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += *p;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    return out;
-}
-
 /** The platform every crash run uses: the default system with small
  *  NvMR structures (more metadata traffic per backup, so the crash
  *  points cover map-table and free-list updates) and a watchdog
@@ -526,10 +507,10 @@ main(int argc, char **argv)
             continue;
         std::string a = argv[i];
         if (a == "-w" || a == "--workloads") {
-            opt.workloads = splitList(need(i));
+            opt.workloads = cli::splitList(need(i));
         } else if (a == "-a" || a == "--archs") {
             opt.archs.clear();
-            for (const std::string &n : splitList(need(i)))
+            for (const std::string &n : cli::splitList(need(i)))
                 opt.archs.push_back(parseArch(n));
         } else if (a == "--max-backups") {
             opt.maxBackups = std::strtoull(need(i), nullptr, 10);
@@ -593,7 +574,7 @@ main(int argc, char **argv)
                    "|cycle_samples=" +
                    std::to_string(opt.cycleSamples) +
                    "|seed=" + std::to_string(opt.seed);
-    cli::appendWatchdogSpec(config_spec, copts);
+    campaign::appendWatchdogSpec(config_spec, copts);
 
     obs::Telemetry telemetry("nvmr_crashtest", topts,
                              campaign::interruptRequested);

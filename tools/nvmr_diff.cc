@@ -427,7 +427,7 @@ main(int argc, char **argv)
                    "|seed=" + std::to_string(seed) +
                    "|bug=" + std::to_string(static_cast<int>(bug)) +
                    "|smoke=" + std::to_string(smoke ? 1 : 0);
-    cli::appendWatchdogSpec(config_spec, copts);
+    campaign::appendWatchdogSpec(config_spec, copts);
 
     obs::Telemetry telemetry("nvmr_diff", topts,
                              campaign::interruptRequested);

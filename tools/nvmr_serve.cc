@@ -9,33 +9,56 @@
  *     nvmr_serve --spool DIR                 # serve until signalled
  *     nvmr_serve --spool DIR --once          # drain the spool, exit
  *     nvmr_serve --spool DIR --resume        # continue after a crash
- *     nvmr_serve --spool DIR --jobs 8        # worker width
- *     nvmr_serve --spool DIR --state DIR     # journals/outputs here
- *                                            # (default SPOOL/.nvmr_serve)
- *     --poll-ms N            spool scan period when idle (500)
- *     --drain-grace-ms N     SIGTERM: cancel in-flight cells after N
- *     --max-queued-jobs N    admission backpressure (16)
- *     --max-inflight-cells N clamp worker width
- *     --max-resident-bytes N decoded-image/result backpressure
- *     --job-metrics-interval SECS   per-job heartbeat period (5)
- *     --no-job-metrics              disable per-job heartbeats
- *     --retry-base-ms N      deadline-retry backoff base (100)
- *
- * Exit codes follow the common ladder: 0 all jobs clean, 1 any
- * verification mismatch, 2 usage, 3 any failed/quarantined job or a
- * degraded journal; a second SIGINT/SIGTERM force-exits 128+signal.
+ *     nvmr_serve --help                      # every flag, exit codes
  */
 
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "campaign/sig.hh"
 #include "cli.hh"
+#include "common/exitcodes.hh"
 #include "common/log.hh"
 #include "serve/service.hh"
 
 using namespace nvmr;
+
+namespace
+{
+
+void
+usage()
+{
+    std::puts(
+        "nvmr_serve: job-queue service over the campaign engine\n"
+        "\n"
+        "  --spool DIR              watch DIR for nvmr-job-v1 .job "
+        "files (required)\n"
+        "  --state DIR              journals and outputs "
+        "(default SPOOL/.nvmr_serve)\n"
+        "  --once                   drain the spool, then exit\n"
+        "  --resume                 continue after a crash\n"
+        "  --jobs N                 worker width (or NVMR_JOBS)\n"
+        "  --poll-ms N              spool scan period when idle "
+        "(500)\n"
+        "  --drain-grace-ms N       SIGTERM: cancel in-flight cells "
+        "after N\n"
+        "  --max-queued-jobs N      admission backpressure (16)\n"
+        "  --max-inflight-cells N   clamp worker width\n"
+        "  --max-resident-bytes N   decoded-image/result "
+        "backpressure\n"
+        "  --job-metrics-interval S per-job heartbeat period (5)\n"
+        "  --no-job-metrics         disable per-job heartbeats\n"
+        "  --retry-base-ms N        deadline-retry backoff base "
+        "(100)\n"
+        "\n"
+        "Exit codes: 0 all jobs clean, 1 a verification mismatch, 2 "
+        "usage,\n3 a failed or quarantined job or a degraded journal, "
+        "128+signal on a\nforced shutdown. See docs/operations.md.");
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -50,12 +73,8 @@ main(int argc, char **argv)
         return argv[++i];
     };
     auto needU64 = [&](int &i) -> uint64_t {
-        const char *v = need(i);
-        char *end = nullptr;
-        uint64_t out = std::strtoull(v, &end, 10);
-        fatal_if(!end || *end != '\0', "bad value '", v, "' for ",
-                 argv[i - 1]);
-        return out;
+        const char *flag = argv[i];
+        return cli::parseU64(need(i), flag);
     };
 
     for (int i = 1; i < argc; ++i) {
@@ -93,9 +112,11 @@ main(int argc, char **argv)
             opts.jobMetricsInterval = 0;
         } else if (a == "--retry-base-ms") {
             opts.retryBackoff.baseNs = needU64(i) * 1'000'000ull;
+        } else if (a == "-h" || a == "--help") {
+            usage();
+            return kExitOk;
         } else {
-            fatal("unknown argument '", a,
-                  "' (see docs/operations.md)");
+            fatal("unknown argument '", a, "' (try --help)");
         }
     }
     fatal_if(opts.spoolDir.empty(), "--spool DIR is required");

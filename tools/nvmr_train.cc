@@ -111,7 +111,7 @@ main(int argc, char **argv)
     char capbuf[40];
     std::snprintf(capbuf, sizeof(capbuf), "|cap=%.17g", cap);
     config_spec += capbuf;
-    cli::appendWatchdogSpec(config_spec, copts);
+    campaign::appendWatchdogSpec(config_spec, copts);
 
     obs::Telemetry telemetry("nvmr_train", topts,
                              campaign::interruptRequested);
