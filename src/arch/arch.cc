@@ -39,8 +39,9 @@ archKindName(ArchKind kind)
 
 IntermittentArch::IntermittentArch(const SystemConfig &config, Nvm &nvm_,
                                    EnergySink &snk)
-    : cfg(config), nvm(nvm_), sink(snk), cache(config.cache,
-                                              config.tech, snk)
+    : cfg(config), nvm(nvm_), sink(snk),
+      cache(config.cache, config.tech, snk),
+      hitNj(config.tech.cacheAccessNj)
 {
     statRegistry.add(&archStats.backups);
     statRegistry.add(&archStats.violations);
@@ -85,46 +86,37 @@ IntermittentArch::handleMiss(Addr block_addr)
              "evictLine left a dirty line behind");
     cache.invalidate(victim);
 
-    std::vector<Word> data = fetchBlock(block_addr);
-    cache.fill(victim, block_addr, data);
+    // Fetch straight into the (now invalid) victim: a backup the
+    // fetch triggers only walks valid lines.
+    fetchBlock(block_addr, victim.data.data());
+    cache.fill(victim, block_addr,
+               {victim.data.data(), victim.data.size()});
     afterFill(victim);
     return victim;
 }
 
 CacheLine &
-IntermittentArch::access(Addr addr, uint32_t nbytes, bool is_store)
+IntermittentArch::accessMiss(Addr addr, uint32_t nbytes, bool is_store)
 {
     Addr block = cache.blockAlign(addr);
-    CacheLine *line;
-    if (lbfTracking) {
-        // Dominance-tracking hot path: the SRAM lookup and the LBF
-        // state update are charged in one batched sink call and the
-        // span touch is inlined, so a cache hit costs no virtual
-        // dispatch.
-        sink.consume(cfg.tech.cacheAccessNj + cfg.tech.bloomNj);
-        line = cache.lookupUncharged(block);
-        if (!line)
-            line = &handleMiss(block);
-        else if (tracer)
-            tracer->record(EventKind::CacheHit, block);
-        line->touchSpan(addr - block, nbytes, is_store);
-    } else {
-        line = cache.lookup(block);
-        if (!line)
-            line = &handleMiss(block);
-        else if (tracer)
-            tracer->record(EventKind::CacheHit, block);
-        onAccess(*line, addr - block, nbytes, is_store);
-    }
+    sink.consume(hitNj);
+    cache.noteMiss();
+    CacheLine &line = handleMiss(block);
+    if (lbfTracking)
+        line.touchSpan(addr - block, nbytes, is_store);
     if (tracer)
-        tracer->record(EventKind::MemAccess, addr,
-                       (static_cast<uint64_t>(is_store) << 8) | nbytes);
-    return *line;
+        recordAccess(addr, nbytes, is_store);
+    return line;
 }
 
-void
-IntermittentArch::onAccess(CacheLine &, uint32_t, uint32_t, bool)
+CacheLine &
+IntermittentArch::access(Addr addr, uint32_t nbytes, bool is_store)
 {
+    CacheLine *line = accessHit(addr, nbytes, is_store,
+                                [this](NanoJoules nj) {
+                                    sink.consume(nj);
+                                });
+    return line ? *line : accessMiss(addr, nbytes, is_store);
 }
 
 Word
@@ -140,18 +132,14 @@ IntermittentArch::storeWord(Addr addr, Word value)
 {
     panic_if(addr % kWordBytes != 0, "misaligned store at ", addr);
     CacheLine &line = access(addr, kWordBytes, true);
-    uint32_t wi = cache.wordIndex(addr);
-    line.data[wi] = value;
-    line.markDirty();
-    line.dirtyWordMask |= 1u << wi;
+    line.storeWord(cache.wordIndex(addr), value);
 }
 
 uint8_t
 IntermittentArch::loadByte(Addr addr)
 {
     CacheLine &line = access(addr, 1, false);
-    uint32_t wi = cache.wordIndex(addr & ~3u);
-    return static_cast<uint8_t>(line.data[wi] >> (8 * (addr & 3u)));
+    return line.loadByte(cache.wordIndex(addr), addr & 3u);
 }
 
 void
@@ -164,12 +152,7 @@ IntermittentArch::storeByte(Addr addr, uint8_t value)
     // PartialWordStore* regressions); with byte-granular LBF it is
     // a genuine overwrite of its unit.
     CacheLine &line = access(addr, 1, true);
-    uint32_t wi = cache.wordIndex(addr & ~3u);
-    unsigned shift = 8 * (addr & 3u);
-    line.data[wi] = (line.data[wi] & ~(0xffu << shift)) |
-                    (static_cast<Word>(value) << shift);
-    line.markDirty();
-    line.dirtyWordMask |= 1u << wi;
+    line.storeByte(cache.wordIndex(addr), addr & 3u, value);
 }
 
 // ----------------------------------------------------------------------
@@ -188,14 +171,13 @@ IntermittentArch::persistSnapshot(const CpuSnapshot &snap)
     if (faults && faults->enabled()) {
         for (unsigned i = 0; i < CpuSnapshot::persistWords; ++i) {
             faults->persistPoint();
-            sink.addCycles(cfg.tech.flashWriteCycles);
-            sink.consume(cfg.tech.flashWriteWordNj);
+            sink.chargeWords(1, cfg.tech.flashWriteCycles,
+                             cfg.tech.flashWriteWordNj);
         }
     } else {
-        for (unsigned i = 0; i < CpuSnapshot::persistWords; ++i) {
-            sink.addCycles(cfg.tech.flashWriteCycles);
-            sink.consume(cfg.tech.flashWriteWordNj);
-        }
+        sink.chargeWords(CpuSnapshot::persistWords,
+                         cfg.tech.flashWriteCycles,
+                         cfg.tech.flashWriteWordNj);
     }
     BackupSlot &target = snapSlots[1 - activeSlot];
     target.seq = committedSeq + 1;
@@ -277,8 +259,7 @@ IntermittentArch::journaledWriteWord(Addr addr, Word value)
 void
 IntermittentArch::writeBlockTo(Addr target, const CacheLine &line)
 {
-    for (uint32_t w = 0; w < cfg.cache.wordsPerBlock(); ++w)
-        nvm.writeWord(target + w * kWordBytes, line.data[w]);
+    nvm.writeBlock(target, line.data.data(), line.data.size());
 }
 
 void
@@ -295,8 +276,8 @@ IntermittentArch::chargeJournalWrite(uint64_t words)
         // accounting).
         for (uint64_t w = 0; w < words; ++w) {
             faults->persistPoint();
-            sink.addCycles(cfg.tech.flashWriteCycles);
-            sink.consume(cfg.tech.flashWriteWordNj);
+            sink.chargeWords(1, cfg.tech.flashWriteCycles,
+                             cfg.tech.flashWriteWordNj);
         }
     } else {
         sink.addCycles(words * cfg.tech.flashWriteCycles);
@@ -342,10 +323,8 @@ IntermittentArch::performRestore()
     }
     // Read back registers + PC from the slot whose commit record
     // matches the last committed sequence number.
-    for (unsigned i = 0; i < CpuSnapshot::persistWords; ++i) {
-        sink.addCycles(cfg.tech.flashReadCycles);
-        sink.consume(cfg.tech.flashReadWordNj);
-    }
+    sink.chargeWords(CpuSnapshot::persistWords, cfg.tech.flashReadCycles,
+                     cfg.tech.flashReadWordNj);
     ++archStats.restores;
     panic_if(snapSlots[activeSlot].seq != committedSeq,
              "backup slot does not match committed sequence");
@@ -454,14 +433,7 @@ DominanceArch::DominanceArch(const SystemConfig &config, Nvm &nvm_,
       gbf(config.gbfBits, config.gbfHashes, config.tech, snk)
 {
     lbfTracking = true;
-}
-
-void
-DominanceArch::onAccess(CacheLine &line, uint32_t offset_in_block,
-                        uint32_t nbytes, bool is_store)
-{
-    sink.consume(cfg.tech.bloomNj); // LBF state update
-    line.touchSpan(offset_in_block, nbytes, is_store);
+    hitNj = config.tech.cacheAccessNj + config.tech.bloomNj;
 }
 
 void

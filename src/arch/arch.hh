@@ -135,6 +135,54 @@ class IntermittentArch : public DataPort
     uint8_t loadByte(Addr addr) override;
     void storeByte(Addr addr, uint8_t value) override;
 
+    /**
+     * True while the DataPort above is this class's cache-fronted one
+     * (the original Clank overrides it and clears this): the
+     * execution engine may then serve accesses itself through
+     * accessHit()/accessMiss(), which is what the port does.
+     */
+    bool cacheFrontedPort() const { return cacheFronted; }
+
+    /**
+     * The hit half of an access to [addr, addr + nbytes): when the
+     * block is resident, charge the SRAM lookup (plus the LBF update
+     * under dominance tracking) through `charge`, then refresh LRU,
+     * count the hit, touch the LBF span and record the trace events,
+     * and return the line. On a miss, return nullptr with nothing
+     * charged, counted or recorded: the caller takes accessMiss().
+     * The charge comes before any bookkeeping, so a brown-out inside
+     * it leaves the hit count and LRU untouched. The port and the
+     * execution engine share this routine; `charge` is whichever
+     * inline path each has to the energy sink.
+     */
+    template <typename Charge>
+    CacheLine *
+    accessHit(Addr addr, uint32_t nbytes, bool is_store,
+              Charge &&charge)
+    {
+        Addr block = cache.blockAlign(addr);
+        CacheLine *line = cache.find(block);
+        if (!line)
+            return nullptr;
+        charge(hitNj);
+        cache.noteHit(*line);
+        if (lbfTracking)
+            line->touchSpan(addr - block, nbytes, is_store);
+        if (tracer) {
+            tracer->record(EventKind::CacheHit, block);
+            recordAccess(addr, nbytes, is_store);
+        }
+        return line;
+    }
+
+    /**
+     * The miss half: charge the lookup, count the miss, evict and
+     * fill (fetching the block may evict, rename, log or back up),
+     * touch the LBF span and record the access. Only call it after
+     * accessHit() returned nullptr.
+     */
+    CacheLine &accessMiss(Addr addr, uint32_t nbytes, bool is_store);
+
     // ------------------------------------------------------------------
     // Intermittence control (called by the simulator)
     // ------------------------------------------------------------------
@@ -242,10 +290,19 @@ class IntermittentArch : public DataPort
     FaultInjector *faults = nullptr;
     TraceSink *tracer = nullptr;
 
-    /** True when onAccess is DominanceArch's LBF span touch: access()
-     *  then inlines it (batched energy charge, no virtual dispatch on
-     *  the hit path). Set once by the DominanceArch constructor. */
+    /** True when accesses drive the LBF word-state protocol
+     *  (DominanceArch): each access touches its span, and the lookup
+     *  charge includes the LBF update. Set once by the DominanceArch
+     *  constructor, together with hitNj. */
     bool lbfTracking = false;
+
+    /** Energy of one access's lookup: the SRAM access, plus the LBF
+     *  update when lbfTracking (one batched charge). */
+    NanoJoules hitNj = 0;
+
+    /** See cacheFrontedPort(); cleared by ports that bypass the
+     *  cache. */
+    bool cacheFronted = true;
 
     /**
      * One half of the double-buffered NVM backup region. The last
@@ -282,8 +339,10 @@ class IntermittentArch : public DataPort
     StatGroup statRegistry;
 
     /** Fetch the current data of a block from backing storage
-     *  (charged reads); used on cache misses. */
-    virtual std::vector<Word> fetchBlock(Addr block_addr) = 0;
+     *  (charged reads) into `out`, cfg.cache.wordsPerBlock() words;
+     *  used on cache misses, which pass the victim line's own
+     *  storage. */
+    virtual void fetchBlock(Addr block_addr, Word *out) = 0;
 
     /** Handle eviction of a valid line (writeback, violations,
      *  renaming, logging...). Must leave the line clean. */
@@ -292,20 +351,24 @@ class IntermittentArch : public DataPort
     /** Hook run after a miss fill (GBF conservative marking). */
     virtual void afterFill(CacheLine &line) { (void)line; }
 
-    /** Hook run on every access for dominance tracking; the span
-     *  is [offset_in_block, offset_in_block + nbytes). */
-    virtual void onAccess(CacheLine &line, uint32_t offset_in_block,
-                          uint32_t nbytes, bool is_store);
-
     /** The architecturally-latest NVM location of an application
      *  word, ignoring the cache (no energy). */
     virtual Addr inspectMapping(Addr addr) const;
 
-    /** Miss path shared by all architectures. */
+    /** Victim selection, eviction and in-place fill of a missed
+     *  block. */
     CacheLine &handleMiss(Addr block_addr);
 
     /** Access path shared by loadWord/storeWord/loadByte/storeByte. */
     CacheLine &access(Addr addr, uint32_t nbytes, bool is_store);
+
+    /** Record the MemAccess event of a finished access. */
+    void
+    recordAccess(Addr addr, uint32_t nbytes, bool is_store)
+    {
+        tracer->record(EventKind::MemAccess, addr,
+                       (static_cast<uint64_t>(is_store) << 8) | nbytes);
+    }
 
     /**
      * Persist the register snapshot (17 NVM word writes) into the
@@ -418,9 +481,6 @@ class DominanceArch : public IntermittentArch
 
   protected:
     BloomFilter gbf;
-
-    void onAccess(CacheLine &line, uint32_t offset_in_block,
-                  uint32_t nbytes, bool is_store) override;
 
     /** GBF-driven conservative LBF initialization on fill. */
     void afterFill(CacheLine &line) override;

@@ -11,13 +11,10 @@ ClankArch::ClankArch(const SystemConfig &config, Nvm &nvm_,
 {
 }
 
-std::vector<Word>
-ClankArch::fetchBlock(Addr block_addr)
+void
+ClankArch::fetchBlock(Addr block_addr, Word *out)
 {
-    std::vector<Word> data(cfg.cache.wordsPerBlock());
-    for (uint32_t w = 0; w < data.size(); ++w)
-        data[w] = nvm.readWord(block_addr + w * kWordBytes);
-    return data;
+    nvm.readBlock(block_addr, out, cfg.cache.wordsPerBlock());
 }
 
 void

@@ -29,7 +29,7 @@ class ClankArch : public DominanceArch
     NanoJoules backupCostNowNj() const override;
 
   protected:
-    std::vector<Word> fetchBlock(Addr block_addr) override;
+    void fetchBlock(Addr block_addr, Word *out) override;
     void violatingWriteback(CacheLine &line) override;
 };
 

@@ -9,6 +9,7 @@ ClankOriginalArch::ClankOriginalArch(const SystemConfig &config,
                                      Nvm &nvm_, EnergySink &snk)
     : IntermittentArch(config, nvm_, snk)
 {
+    cacheFronted = false;
 }
 
 void
@@ -110,8 +111,8 @@ ClankOriginalArch::storeByte(Addr addr, uint8_t value)
     if (tracer)
         tracer->record(EventKind::MemAccess, addr, (1ull << 8) | 1);
     Word w = nvm.inspectWord(word); // RMW read, charged as a read
-    sink.addCycles(cfg.tech.flashReadCycles);
-    sink.consume(cfg.tech.flashReadWordNj);
+    sink.chargeWords(1, cfg.tech.flashReadCycles,
+                     cfg.tech.flashReadWordNj);
     unsigned shift = 8 * (addr & 3u);
     w = (w & ~(0xffu << shift)) | (static_cast<Word>(value) << shift);
     nvm.writeWord(word, w);
@@ -149,8 +150,8 @@ ClankOriginalArch::inspectWord(Addr addr) const
     return nvm.inspectWord(addr & ~3u);
 }
 
-std::vector<Word>
-ClankOriginalArch::fetchBlock(Addr)
+void
+ClankOriginalArch::fetchBlock(Addr, Word *)
 {
     panic("ClankOriginalArch has no cache fetch path");
 }

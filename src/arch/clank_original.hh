@@ -88,7 +88,7 @@ class ClankOriginalArch : public IntermittentArch
   protected:
     // The cache-centric base hooks are never reached: the port
     // methods above bypass the cache entirely.
-    std::vector<Word> fetchBlock(Addr block_addr) override;
+    void fetchBlock(Addr block_addr, Word *out) override;
     void evictLine(CacheLine &line) override;
 
   private:

@@ -1,7 +1,5 @@
 #include "arch/hoop.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 
 namespace nvmr
@@ -27,41 +25,40 @@ HoopArch::backingWord(Addr word_addr) const
     // Newest update wins: bufNewest holds the last value appended for
     // each buffered address (same answer a backwards buffer scan
     // would give, without the scan).
-    auto buf = bufNewest.find(word_addr);
-    if (buf != bufNewest.end())
-        return buf->second;
-    auto log = committedLog.find(word_addr);
-    if (log != committedLog.end())
-        return log->second;
+    if (const Word *buf = bufNewest.find(word_addr))
+        return *buf;
+    if (const Word *log = committedLog.find(word_addr))
+        return *log;
     return nvm.inspectWord(word_addr);
 }
 
-std::vector<Word>
-HoopArch::fetchBlock(Addr block_addr)
+void
+HoopArch::fetchBlock(Addr block_addr, Word *out)
 {
     // Reconstruct the block: OOP buffer first (newest), then the
     // committed redo log (via the free mapping table), then home.
     // Either way each word costs one NVM-scale read; buffer hits are
     // an SRAM touch.
-    std::vector<Word> data(cfg.cache.wordsPerBlock());
-    for (uint32_t w = 0; w < data.size(); ++w) {
+    for (uint32_t w = 0; w < cfg.cache.wordsPerBlock(); ++w) {
         Addr addr = block_addr + w * kWordBytes;
-        if (bufNewest.count(addr) != 0) {
+        if (const Word *buf = bufNewest.find(addr)) {
             sink.consume(kOopBufferTouchNj);
-            data[w] = backingWord(addr);
-        } else if (faults && faults->enabled() &&
-                   committedLog.find(addr) == committedLog.end()) {
+            out[w] = *buf;
+        } else if (const Word *log = committedLog.find(addr)) {
+            // SRAM-held log data, charged at NVM scale.
+            sink.chargeWords(1, cfg.tech.flashReadCycles,
+                             cfg.tech.flashReadWordNj);
+            out[w] = *log;
+        } else if (faults && faults->enabled()) {
             // A genuine home read: go through the Nvm so the word
-            // passes the bit-error / ECC pipeline (log hits below
-            // serve SRAM-held data and only charge at NVM scale).
-            data[w] = nvm.readWord(addr);
+            // passes the bit-error / ECC pipeline.
+            out[w] = nvm.readWord(addr);
         } else {
-            sink.addCycles(cfg.tech.flashReadCycles);
-            sink.consume(cfg.tech.flashReadWordNj);
-            data[w] = backingWord(addr);
+            sink.chargeWords(1, cfg.tech.flashReadCycles,
+                             cfg.tech.flashReadWordNj);
+            out[w] = nvm.peekWord(addr);
         }
     }
-    return data;
 }
 
 void
@@ -85,7 +82,7 @@ HoopArch::evictLine(CacheLine &line)
         }
         sink.consume(kOopBufferTouchNj);
         oopBuffer.emplace_back(addr, line.data[w]);
-        bufNewest[addr] = line.data[w];
+        bufNewest.set(addr, line.data[w]);
         if (line.blockAddr != bufLastBlock) {
             ++bufGroups;
             bufLastBlock = line.blockAddr;
@@ -134,15 +131,14 @@ HoopArch::garbageCollect()
     if (tracer)
         tracer->record(EventKind::OopGc, committedLog.size(),
                        regionFill);
-    // Apply in address order: committedLog is an unordered map, and
-    // the writes are accounted (wear, fault windows), so iteration
-    // order must not depend on hashing if forked runs are to stay
-    // byte-identical with from-scratch ones.
-    std::vector<std::pair<Addr, Word>> entries(committedLog.begin(),
-                                               committedLog.end());
-    std::sort(entries.begin(), entries.end());
-    for (const auto &[addr, val] : entries)
+    // Apply in address order (the AddrMap's iteration order): the
+    // writes are accounted (wear, fault windows), so the order must
+    // be a function of the log's contents alone if forked runs are
+    // to stay byte-identical with from-scratch ones.
+    committedLog.forEach([&](Addr addr, Word val) {
+        noteLogUndo(addr);
         nvm.writeWord(addr, val);
+    });
     committedLog.clear();
     regionFill = 0;
     ++gcs;
@@ -176,7 +172,7 @@ HoopArch::flushBufferToRegion()
         // for these words must go (shadow-rolled on a torn backup).
         for (const auto &[addr, val] : updates) {
             journaledWriteWord(addr, val);
-            committedLog.erase(addr);
+            logErase(addr);
         }
         oopBuffer.clear();
         bufNewest.clear();
@@ -191,13 +187,13 @@ HoopArch::flushBufferToRegion()
     for (const auto &[addr, val] : updates) {
         Addr block = addr & ~(cfg.cache.blockBytes - 1);
         if (block != prev_block) {
-            sink.addCycles(cfg.tech.flashWriteCycles);
-            sink.consume(cfg.tech.flashWriteWordNj);
+            sink.chargeWords(1, cfg.tech.flashWriteCycles,
+                             cfg.tech.flashWriteWordNj);
             prev_block = block;
         }
-        sink.addCycles(cfg.tech.flashWriteCycles);
-        sink.consume(cfg.tech.flashWriteWordNj);
-        committedLog[addr] = val;
+        sink.chargeWords(1, cfg.tech.flashWriteCycles,
+                         cfg.tech.flashWriteWordNj);
+        logSet(addr, val);
     }
     regionFill += incoming;
     oopBuffer.clear();
@@ -215,9 +211,32 @@ HoopArch::performBackup(const CpuSnapshot &snap, BackupReason reason)
 }
 
 void
+HoopArch::noteLogUndo(Addr addr)
+{
+    if (!shadowValid || logUndo.contains(addr))
+        return; // no transaction, or not the first touch
+    const Word *prior = committedLog.find(addr);
+    logUndo.set(addr, prior ? std::optional<Word>(*prior) : std::nullopt);
+}
+
+void
+HoopArch::logSet(Addr addr, Word value)
+{
+    noteLogUndo(addr);
+    committedLog.set(addr, value);
+}
+
+void
+HoopArch::logErase(Addr addr)
+{
+    noteLogUndo(addr);
+    committedLog.erase(addr);
+}
+
+void
 HoopArch::shadowCapture()
 {
-    shadowLog = committedLog;
+    logUndo.clear();
     shadowFill = regionFill;
     shadowValid = true;
 }
@@ -227,16 +246,21 @@ HoopArch::shadowRollback()
 {
     if (!shadowValid)
         return;
-    committedLog = std::move(shadowLog);
+    logUndo.forEach([&](Addr addr, const std::optional<Word> &prior) {
+        if (prior)
+            committedLog.set(addr, *prior);
+        else
+            committedLog.erase(addr);
+    });
+    logUndo.clear();
     regionFill = shadowFill;
-    shadowLog.clear();
     shadowValid = false;
 }
 
 void
 HoopArch::onBackupCommitted()
 {
-    shadowLog.clear();
+    logUndo.clear();
     shadowValid = false;
 }
 
@@ -303,16 +327,12 @@ HoopArch::saveState(StateWriter &w) const
         w.pod(entry.first);
         w.pod(entry.second);
     }
-    w.u64(bufNewest.size());
-    for (const auto &[addr, val] : bufNewest) {
-        w.pod(addr);
-        w.pod(val);
-    }
+    // bufNewest is an index over oopBuffer, rebuilt at restore.
     w.u64(committedLog.size());
-    for (const auto &[addr, val] : committedLog) {
+    committedLog.forEach([&](Addr addr, Word val) {
         w.pod(addr);
         w.pod(val);
-    }
+    });
     w.u64(bufGroups);
     w.pod(bufLastBlock);
     w.u32(regionFill);
@@ -332,22 +352,18 @@ HoopArch::restoreState(StateReader &r)
         Addr addr = r.pod<Addr>();
         Word val = r.pod<Word>();
         oopBuffer.emplace_back(addr, val);
-    }
-    uint64_t nnewest = r.u64();
-    for (uint64_t i = 0; i < nnewest; ++i) {
-        Addr addr = r.pod<Addr>();
-        bufNewest[addr] = r.pod<Word>();
+        bufNewest.set(addr, val); // in append order: newest wins
     }
     uint64_t nlog = r.u64();
     for (uint64_t i = 0; i < nlog; ++i) {
         Addr addr = r.pod<Addr>();
-        committedLog[addr] = r.pod<Word>();
+        committedLog.set(addr, r.pod<Word>());
     }
     bufGroups = r.u64();
     bufLastBlock = r.pod<Addr>();
     regionFill = r.u32();
     gcs = r.u64();
-    shadowLog.clear();
+    logUndo.clear();
     shadowFill = 0;
     shadowValid = false;
 }

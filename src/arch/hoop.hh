@@ -11,10 +11,10 @@
 #ifndef NVMR_ARCH_HOOP_HH
 #define NVMR_ARCH_HOOP_HH
 
-#include <map>
-#include <unordered_map>
+#include <optional>
 
 #include "arch/arch.hh"
+#include "common/addr_map.hh"
 
 namespace nvmr
 {
@@ -53,7 +53,7 @@ class HoopArch : public IntermittentArch
     void restoreState(StateReader &r) override;
 
   protected:
-    std::vector<Word> fetchBlock(Addr block_addr) override;
+    void fetchBlock(Addr block_addr, Word *out) override;
     void evictLine(CacheLine &line) override;
 
     /** Backup-transaction hooks: the committed log *is* HOOP's
@@ -74,12 +74,13 @@ class HoopArch : public IntermittentArch
      *  oopBuffer so block fetches resolve each word in O(1) instead
      *  of scanning the whole buffer (fetchBlock dominated whole-run
      *  profiles without it). Mutated only next to oopBuffer. */
-    std::unordered_map<Addr, Word> bufNewest;
+    AddrMap<Word> bufNewest;
 
     /** Committed redo log contents: word address -> latest committed
      *  value. Stand-in for the infinite, zero-cost mapping table over
-     *  the OOP region. */
-    std::unordered_map<Addr, Word> committedLog;
+     *  the OOP region. Mutate it only through logSet/logErase/
+     *  garbageCollect, which keep the transaction's undo log. */
+    AddrMap<Word> committedLog;
 
     /**
      * Incremental census of the buffer's packed shape: the number of
@@ -95,10 +96,18 @@ class HoopArch : public IntermittentArch
 
     uint64_t gcs = 0;
 
-    /** Pre-backup shadow of the committed log (fault injection). */
-    std::unordered_map<Addr, Word> shadowLog;
+    /** Backup-transaction undo log (fault injection): the committed
+     *  log's value of each word before the transaction first changed
+     *  it (nullopt = absent), so a torn backup rolls back what it
+     *  touched instead of the backup copying the whole log. */
+    AddrMap<std::optional<Word>> logUndo;
     uint32_t shadowFill = 0;
     bool shadowValid = false;
+
+    /** Record `addr`'s pre-transaction log entry on first touch. */
+    void noteLogUndo(Addr addr);
+    void logSet(Addr addr, Word value);
+    void logErase(Addr addr);
 
     /** Latest architectural value of a word, bypassing the cache. */
     Word backingWord(Addr word_addr) const;

@@ -28,7 +28,7 @@ class IdealArch : public DominanceArch
     NanoJoules backupCostNowNj() const override;
 
   protected:
-    std::vector<Word> fetchBlock(Addr block_addr) override;
+    void fetchBlock(Addr block_addr, Word *out) override;
     void violatingWriteback(CacheLine &line) override;
 };
 

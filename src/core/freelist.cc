@@ -33,8 +33,7 @@ Addr
 FreeList::pop()
 {
     panic_if(count == 0, "pop from empty free list");
-    sink.addCycles(tech.flashReadCycles);
-    sink.consumeOverhead(tech.flashReadWordNj);
+    sink.chargeWords(1, tech.flashReadCycles, tech.flashReadWordNj, true);
     Addr mapping = slots[readPtr];
     readPtr = (readPtr + 1) % capacity;
     --count;
@@ -54,14 +53,13 @@ FreeList::push(Addr mapping)
         // not poppable within the same backup.
         panic_if(count + pendingPushes.size() >= capacity,
                  "push to full free list");
-        sink.addCycles(tech.flashWriteCycles);
-        sink.consumeOverhead(tech.flashWriteWordNj);
+        sink.chargeWords(1, tech.flashWriteCycles,
+                         tech.flashWriteWordNj, true);
         pendingPushes.push_back(mapping);
         return;
     }
     panic_if(count == capacity, "push to full free list");
-    sink.addCycles(tech.flashWriteCycles);
-    sink.consumeOverhead(tech.flashWriteWordNj);
+    sink.chargeWords(1, tech.flashWriteCycles, tech.flashWriteWordNj, true);
     slots[writePtr] = mapping;
     writePtr = (writePtr + 1) % capacity;
     ++count;
@@ -74,14 +72,14 @@ FreeList::persistPointers()
         // Two interruptible word writes; the pointer pair only
         // becomes the durable record once both land.
         faults->persistPoint();
-        sink.addCycles(tech.flashWriteCycles);
-        sink.consumeOverhead(tech.flashWriteWordNj);
+        sink.chargeWords(1, tech.flashWriteCycles,
+                         tech.flashWriteWordNj, true);
         faults->persistPoint();
-        sink.addCycles(tech.flashWriteCycles);
-        sink.consumeOverhead(tech.flashWriteWordNj);
+        sink.chargeWords(1, tech.flashWriteCycles,
+                         tech.flashWriteWordNj, true);
     } else {
-        sink.addCycles(2 * tech.flashWriteCycles);
-        sink.consumeOverhead(2 * tech.flashWriteWordNj);
+        sink.chargeWords(1, 2 * tech.flashWriteCycles,
+                         2 * tech.flashWriteWordNj, true);
     }
     if (txnActive) {
         // Stage the post-commit pointer state (buffered pushes

@@ -11,20 +11,19 @@ MapTable::MapTable(uint32_t capacity, const TechParams &params,
     : cap(capacity), tech(params), sink(snk)
 {
     fatal_if(capacity == 0, "map table needs at least one entry");
-    map.reserve(capacity);
 }
 
 std::optional<Addr>
 MapTable::lookup(Addr tag)
 {
     // An entry read: tag + mapping words.
-    sink.addCycles(2 * tech.flashReadCycles);
-    sink.consumeOverhead(2 * tech.flashReadWordNj);
-    auto it = map.find(tag);
-    if (it == map.end())
+    sink.chargeWords(1, 2 * tech.flashReadCycles,
+                     2 * tech.flashReadWordNj, true);
+    Entry *e = map.find(tag);
+    if (!e)
         return std::nullopt;
-    it->second.lastUse = ++tick;
-    return it->second.mapping;
+    e->lastUse = ++tick;
+    return e->mapping;
 }
 
 void
@@ -36,16 +35,11 @@ MapTable::set(Addr tag, Addr mapping)
         faults->persistPoint();
     if (txnActive)
         recordUndo(tag);
-    sink.addCycles(2 * tech.flashWriteCycles);
-    sink.consumeOverhead(2 * tech.flashWriteWordNj);
-    auto it = map.find(tag);
-    if (it != map.end()) {
-        it->second.mapping = mapping;
-        it->second.lastUse = ++tick;
-        return;
-    }
-    panic_if(map.size() >= cap, "map table overflow");
-    map.emplace(tag, Entry{mapping, ++tick});
+    sink.chargeWords(1, 2 * tech.flashWriteCycles,
+                     2 * tech.flashWriteWordNj, true);
+    panic_if(!map.contains(tag) && map.size() >= cap,
+             "map table overflow");
+    map.set(tag, Entry{mapping, ++tick});
 }
 
 void
@@ -55,21 +49,18 @@ MapTable::erase(Addr tag)
         faults->persistPoint();
     if (txnActive)
         recordUndo(tag);
-    sink.addCycles(tech.flashWriteCycles);
-    sink.consumeOverhead(tech.flashWriteWordNj);
+    sink.chargeWords(1, tech.flashWriteCycles, tech.flashWriteWordNj,
+                     true);
     map.erase(tag);
 }
 
 void
 MapTable::recordUndo(Addr tag)
 {
-    if (undoLog.count(tag))
+    if (undoLog.contains(tag))
         return; // first touch wins
-    auto it = map.find(tag);
-    if (it == map.end())
-        undoLog.emplace(tag, std::nullopt);
-    else
-        undoLog.emplace(tag, it->second);
+    const Entry *e = map.find(tag);
+    undoLog.set(tag, e ? std::optional<Entry>(*e) : std::nullopt);
 }
 
 void
@@ -89,12 +80,12 @@ MapTable::commitTxn()
 void
 MapTable::rollbackTxn()
 {
-    for (const auto &[tag, prior] : undoLog) {
+    undoLog.forEach([&](Addr tag, const std::optional<Entry> &prior) {
         if (prior)
-            map[tag] = *prior;
+            map.set(tag, *prior);
         else
             map.erase(tag);
-    }
+    });
     undoLog.clear();
     txnActive = false;
 }
@@ -102,28 +93,32 @@ MapTable::rollbackTxn()
 bool
 MapTable::hasRoomFor(Addr tag) const
 {
-    return map.size() < cap || map.count(tag);
+    return map.size() < cap || map.contains(tag);
 }
 
 std::optional<std::pair<Addr, Addr>>
 MapTable::lruEntry() const
 {
-    if (map.empty())
-        return std::nullopt;
-    auto lru = map.begin();
-    for (auto it = map.begin(); it != map.end(); ++it)
-        if (it->second.lastUse < lru->second.lastUse)
-            lru = it;
-    return std::make_pair(lru->first, lru->second.mapping);
+    // Recency ticks are unique, so the minimum does not depend on
+    // the visiting order.
+    std::optional<std::pair<Addr, Addr>> lru;
+    uint64_t oldest = 0;
+    map.forEach([&](Addr tag, const Entry &e) {
+        if (!lru || e.lastUse < oldest) {
+            lru = std::make_pair(tag, e.mapping);
+            oldest = e.lastUse;
+        }
+    });
+    return lru;
 }
 
 std::optional<Addr>
 MapTable::peek(Addr tag) const
 {
-    auto it = map.find(tag);
-    if (it == map.end())
+    const Entry *e = map.find(tag);
+    if (!e)
         return std::nullopt;
-    return it->second.mapping;
+    return e->mapping;
 }
 
 } // namespace nvmr

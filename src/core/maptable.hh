@@ -12,9 +12,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
+#include "common/addr_map.hh"
 #include "common/types.hh"
 #include "power/energy.hh"
 #include "snapshot/state.hh"
@@ -59,14 +59,15 @@ class MapTable
     /** Unaccounted lookup for validation/tests. */
     std::optional<Addr> peek(Addr tag) const;
 
-    /** Visit every mapping as fn(tag, mapping), unaccounted (the
-     *  src/check injectivity/conservation audits walk the table). */
+    /** Visit every mapping as fn(tag, mapping) in ascending tag
+     *  order, unaccounted (the src/check injectivity/conservation
+     *  audits walk the table). */
     template <typename Fn>
     void
     forEach(Fn fn) const
     {
-        for (const auto &kv : map)
-            fn(kv.first, kv.second.mapping);
+        map.forEach(
+            [&](Addr tag, const Entry &e) { fn(tag, e.mapping); });
     }
 
     /** Crash injection for entry persists. An entry update is one
@@ -96,10 +97,10 @@ class MapTable
     {
         panic_if(txnActive, "snapshot during a map-table transaction");
         w.u64(map.size());
-        for (const auto &kv : map) {
-            w.pod(kv.first);
-            w.pod(kv.second);
-        }
+        map.forEach([&](Addr tag, const Entry &e) {
+            w.pod(tag);
+            w.pod(e);
+        });
         w.u64(tick);
     }
 
@@ -113,7 +114,7 @@ class MapTable
         uint64_t n = r.u64();
         for (uint64_t i = 0; i < n; ++i) {
             Addr tag = r.pod<Addr>();
-            map[tag] = r.pod<Entry>();
+            map.set(tag, r.pod<Entry>());
         }
         tick = r.u64();
     }
@@ -129,13 +130,15 @@ class MapTable
     const TechParams &tech;
     EnergySink &sink;
     FaultInjector *faults = nullptr;
-    std::unordered_map<Addr, Entry> map;
+    /** Tags are block addresses, so the dense map's pages cover the
+     *  application region's renamed blocks. */
+    AddrMap<Entry> map;
     uint64_t tick = 0;
 
     bool txnActive = false;
     /** First-touch undo log: tag -> entry before the transaction
      *  (nullopt = tag was absent). */
-    std::unordered_map<Addr, std::optional<Entry>> undoLog;
+    AddrMap<std::optional<Entry>> undoLog;
 
     void recordUndo(Addr tag);
 };

@@ -28,7 +28,10 @@ void
 NvmrArch::noteRename(Addr tag, Addr fresh)
 {
     ++archStats.renames;
-    renameChainDepth.sample(static_cast<double>(++renameDepths[tag]));
+    uint64_t *depth = renameDepths.find(tag);
+    uint64_t n = depth ? *depth + 1 : 1;
+    renameDepths.set(tag, n);
+    renameChainDepth.sample(static_cast<double>(n));
     if (tracer)
         tracer->record(EventKind::Rename, tag, fresh);
 }
@@ -116,14 +119,11 @@ NvmrArch::resolveMapping(Addr tag)
     return entry ? entry->newMap : tag;
 }
 
-std::vector<Word>
-NvmrArch::fetchBlock(Addr block_addr)
+void
+NvmrArch::fetchBlock(Addr block_addr, Word *out)
 {
     Addr src = resolveMapping(block_addr);
-    std::vector<Word> data(cfg.cache.wordsPerBlock());
-    for (uint32_t w = 0; w < data.size(); ++w)
-        data[w] = nvm.readWord(src + w * kWordBytes);
-    return data;
+    nvm.readBlock(src, out, cfg.cache.wordsPerBlock());
 }
 
 // ----------------------------------------------------------------------
@@ -407,8 +407,8 @@ NvmrArch::chargeRecordPersist(unsigned words)
     for (unsigned i = 0; i < words; ++i) {
         if (faults && faults->enabled())
             faults->persistPoint();
-        sink.addCycles(cfg.tech.flashWriteCycles);
-        sink.consumeOverhead(cfg.tech.flashWriteWordNj);
+        sink.chargeWords(1, cfg.tech.flashWriteCycles,
+                         cfg.tech.flashWriteWordNj, true);
     }
 }
 
@@ -484,8 +484,8 @@ NvmrArch::performRestore()
 {
     CpuSnapshot snap = IntermittentArch::performRestore();
     // Re-read the persisted free-list pointers.
-    sink.addCycles(2 * cfg.tech.flashReadCycles);
-    sink.consumeOverhead(2 * cfg.tech.flashReadWordNj);
+    sink.chargeWords(1, 2 * cfg.tech.flashReadCycles,
+                     2 * cfg.tech.flashReadWordNj, true);
     // Finish any reclaim entry a crash cut short (see the reclaim
     // record in the header). Runs before execution resumes so the
     // recovery image and free list are consistent again.
@@ -520,10 +520,10 @@ NvmrArch::saveState(StateWriter &w) const
     freeList.saveState(w);
     w.pod(reserved);
     w.u64(renameDepths.size());
-    for (const auto &[tag, depth] : renameDepths) {
+    renameDepths.forEach([&](Addr tag, uint64_t depth) {
         w.pod(tag);
         w.u64(depth);
-    }
+    });
     w.pod(renameChainDepth.rawState());
     w.pod(mtcResidency.rawState());
     w.boolean(bugFreshValid);
@@ -545,7 +545,7 @@ NvmrArch::restoreState(StateReader &r)
     uint64_t ndepths = r.u64();
     for (uint64_t i = 0; i < ndepths; ++i) {
         Addr tag = r.pod<Addr>();
-        renameDepths[tag] = r.u64();
+        renameDepths.set(tag, r.u64());
     }
     renameChainDepth.setRawState(r.pod<Histogram::Raw>());
     mtcResidency.setRawState(r.pod<Histogram::Raw>());

@@ -13,9 +13,8 @@
 #ifndef NVMR_CORE_NVMR_ARCH_HH
 #define NVMR_CORE_NVMR_ARCH_HH
 
-#include <unordered_map>
-
 #include "arch/arch.hh"
+#include "common/addr_map.hh"
 #include "core/freelist.hh"
 #include "core/maptable.hh"
 #include "core/mtcache.hh"
@@ -59,7 +58,7 @@ class NvmrArch : public DominanceArch
     void restoreState(StateReader &r) override;
 
   protected:
-    std::vector<Word> fetchBlock(Addr block_addr) override;
+    void fetchBlock(Addr block_addr, Word *out) override;
     void violatingWriteback(CacheLine &line) override;
     void normalWriteback(CacheLine &line) override;
     Addr inspectMapping(Addr addr) const override;
@@ -78,7 +77,7 @@ class NvmrArch : public DominanceArch
 
     /** How many times each tag has been renamed (observability
      *  bookkeeping only; charges nothing). */
-    std::unordered_map<Addr, uint64_t> renameDepths;
+    AddrMap<uint64_t> renameDepths;
 
     Histogram renameChainDepth{
         "rename_chain_depth",

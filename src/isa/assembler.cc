@@ -1,5 +1,6 @@
 #include "isa/assembler.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <optional>
@@ -481,6 +482,17 @@ assemble(const std::string &name, const std::string &source)
             stmt.lineNo = line_no;
             parseOperands(st, stmt, rest);
             auto &data = st.prog.data;
+            // Refuse growth past the NVM before allocating it: a
+            // `.space 1099511627776` must be an error, not a
+            // multi-terabyte allocation.
+            auto require_room = [&](uint64_t extra) {
+                if (data.size() > kMaxDataBytes ||
+                    extra > kMaxDataBytes - data.size())
+                    asmError(st, line_no,
+                             mnemonic + " grows the data segment past "
+                             "the " + std::to_string(kMaxDataBytes) +
+                             "-byte NVM");
+            };
             if (mnemonic == ".word") {
                 while (data.size() % kWordBytes)
                     data.push_back(0);
@@ -498,6 +510,7 @@ assemble(const std::string &name, const std::string &source)
                 auto n = parseIntLiteral(stmt.operands[0].text);
                 if (!n || *n < 0)
                     asmError(st, line_no, "bad .space size");
+                require_room(static_cast<uint64_t>(*n));
                 data.insert(data.end(), static_cast<size_t>(*n), 0);
             } else if (mnemonic == ".rand") {
                 if (stmt.operands.size() != 4)
@@ -509,6 +522,10 @@ assemble(const std::string &name, const std::string &source)
                 auto hi = parseIntLiteral(stmt.operands[3].text);
                 if (!cnt || !seed || !lo || !hi || *cnt < 0)
                     asmError(st, line_no, "bad .rand operands");
+                // Clamped first so the byte count cannot overflow.
+                require_room(
+                    std::min<uint64_t>(*cnt, kMaxDataBytes) * kWordBytes +
+                    (kWordBytes - data.size() % kWordBytes) % kWordBytes);
                 while (data.size() % kWordBytes)
                     data.push_back(0);
                 XorShift rng(static_cast<uint64_t>(*seed));
@@ -530,12 +547,15 @@ assemble(const std::string &name, const std::string &source)
                 auto n = parseIntLiteral(stmt.operands[0].text);
                 if (!n || *n <= 0)
                     asmError(st, line_no, "bad .align value");
+                uint64_t align = static_cast<uint64_t>(*n);
+                require_room((align - data.size() % align) % align);
                 while (data.size() % static_cast<size_t>(*n))
                     data.push_back(0);
             } else {
                 asmError(st, line_no,
                          "unknown directive '" + mnemonic + "'");
             }
+            require_room(0); // .word and .asciiz lists grow it too
             continue;
         }
 

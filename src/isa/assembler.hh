@@ -28,6 +28,7 @@
 #ifndef NVMR_ISA_ASSEMBLER_HH
 #define NVMR_ISA_ASSEMBLER_HH
 
+#include <cstdint>
 #include <string>
 
 #include "isa/program.hh"
@@ -35,9 +36,14 @@
 namespace nvmr
 {
 
+/** Largest data segment the assembler builds: the 2 MB NVM of
+ *  Table 2, which no program image can outgrow. */
+constexpr uint64_t kMaxDataBytes = 2u << 20;
+
 /**
  * Assemble iisa source text into a Program. Calls fatal() with a
- * line-numbered message on any syntax error.
+ * line-numbered message on any syntax error, and on data directives
+ * that would grow the data segment past kMaxDataBytes.
  *
  * @param name Program name recorded in the image (for diagnostics).
  * @param source Full assembly source text.

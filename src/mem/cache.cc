@@ -21,17 +21,26 @@ DataCache::DataCache(const CacheConfig &config, const TechParams &params,
     fatal_if(cfg.lbfGranularityBytes == 0 ||
                  cfg.blockBytes % cfg.lbfGranularityBytes != 0,
              "LBF granularity must divide the block size");
+    fatal_if((cfg.lbfGranularityBytes & (cfg.lbfGranularityBytes - 1)) !=
+                 0,
+             "LBF granularity must be a power of two");
     fatal_if((cfg.blockBytes & (cfg.blockBytes - 1)) != 0,
              "block size must be a power of two");
+    fatal_if(cfg.wordsPerBlock() > kMaxBlockWords,
+             "block size must be at most ", kMaxBlockWords * kWordBytes,
+             " bytes");
     blockMask = cfg.blockBytes - 1;
     while ((1u << blockShift) < cfg.blockBytes)
         ++blockShift;
+    uint32_t lbf_shift = 0;
+    while ((1u << lbf_shift) < cfg.lbfGranularityBytes)
+        ++lbf_shift;
     setMask = cfg.numSets() - 1;
     lines.resize(cfg.numBlocks());
     for (CacheLine &line : lines) {
         line.data.assign(cfg.wordsPerBlock(), 0);
         line.lbf.assign(cfg.lbfEntries(), WordState::Unknown);
-        line.lbfGranularity = cfg.lbfGranularityBytes;
+        line.lbfShift = lbf_shift;
         line.dirtyCounter = &dirtyLines;
     }
 }
@@ -53,7 +62,7 @@ DataCache::victim(Addr block_addr)
 
 void
 DataCache::fill(CacheLine &line, Addr block_addr,
-                const std::vector<Word> &data)
+                std::span<const Word> data)
 {
     panic_if(data.size() != cfg.wordsPerBlock(),
              "fill with wrong block size");
@@ -69,7 +78,8 @@ DataCache::fill(CacheLine &line, Addr block_addr,
     line.valid = true;
     line.markClean();
     line.blockAddr = block_addr;
-    line.data = data;
+    if (data.data() != line.data.data())
+        std::copy(data.begin(), data.end(), line.data.begin());
     line.lbf.assign(cfg.lbfEntries(), WordState::Unknown);
     line.dirtyWordMask = 0;
     line.lruTick = ++tick;
@@ -105,8 +115,8 @@ DataCache::saveState(StateWriter &w) const
         w.boolean(line.valid);
         w.boolean(line.dirty);
         w.pod(line.blockAddr);
-        w.vec(line.data);
-        w.vec(line.lbf);
+        w.bytes(line.data.data(), line.data.size() * sizeof(Word));
+        w.bytes(line.lbf.data(), line.lbf.size() * sizeof(WordState));
         w.u64(line.lruTick);
         w.u32(line.dirtyWordMask);
         w.u64(line.gbfMask);
@@ -124,14 +134,12 @@ DataCache::restoreState(StateReader &r)
         line.valid = r.boolean();
         line.dirty = r.boolean();
         line.blockAddr = r.pod<Addr>();
-        line.data = r.vec<Word>();
-        line.lbf = r.vec<WordState>();
+        // The geometry is the constructor's; only contents travel.
+        r.bytes(line.data.data(), line.data.size() * sizeof(Word));
+        r.bytes(line.lbf.data(), line.lbf.size() * sizeof(WordState));
         line.lruTick = r.u64();
         line.dirtyWordMask = r.u32();
         line.gbfMask = r.u64();
-        panic_if(line.data.size() != cfg.wordsPerBlock() ||
-                     line.lbf.size() != cfg.lbfEntries(),
-                 "snapshot cache line has wrong geometry");
     }
     tick = r.u64();
     _hits = r.u64();

@@ -9,9 +9,10 @@
 #ifndef NVMR_MEM_CACHE_HH
 #define NVMR_MEM_CACHE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "common/log.hh"
@@ -59,18 +60,59 @@ struct CacheConfig
     }
 };
 
+/** Largest block a cache line holds: dirtyWordMask keeps one bit per
+ *  word. */
+constexpr uint32_t kMaxBlockWords = 32;
+
+/** Most LBF units a line tracks (byte-granular LBF on the largest
+ *  block). */
+constexpr uint32_t kMaxLbfUnits = kMaxBlockWords * kWordBytes;
+
+/**
+ * A fixed-capacity array stored inline, with its length set at run
+ * time: a cache line's words and LBF units live in the line itself, so
+ * a fill writes them in place instead of reallocating.
+ */
+template <typename T, uint32_t Cap>
+class InlineVec
+{
+  public:
+    void
+    assign(uint32_t n, T value)
+    {
+        panic_if(n > Cap, "inline array of ", Cap, " overfilled: ", n);
+        len = n;
+        std::fill_n(buf.begin(), n, value);
+    }
+
+    uint32_t size() const { return len; }
+    T *data() { return buf.data(); }
+    const T *data() const { return buf.data(); }
+    T *begin() { return buf.data(); }
+    T *end() { return buf.data() + len; }
+    const T *begin() const { return buf.data(); }
+    const T *end() const { return buf.data() + len; }
+    T &operator[](uint32_t i) { return buf[i]; }
+    const T &operator[](uint32_t i) const { return buf[i]; }
+
+  private:
+    std::array<T, Cap> buf{};
+    uint32_t len = 0;
+};
+
 /** One cache line plus its tightly coupled LBF state. */
 struct CacheLine
 {
     bool valid = false;
     bool dirty = false;
     Addr blockAddr = kNoAddr;
-    std::vector<Word> data;
-    std::vector<WordState> lbf;
+    InlineVec<Word, kMaxBlockWords> data;
+    InlineVec<WordState, kMaxLbfUnits> lbf;
     uint64_t lruTick = 0;
 
-    /** LBF tracking unit in bytes (mirrors the cache config). */
-    uint32_t lbfGranularity = kWordBytes;
+    /** log2 of the LBF tracking unit in bytes (mirrors the cache
+     *  config; a shift keeps the per-access span touch divide-free). */
+    uint32_t lbfShift = 2;
 
     /** Bit per word set by stores since the fill (HOOP packs these). */
     uint32_t dirtyWordMask = 0;
@@ -127,16 +169,41 @@ struct CacheLine
     void
     touchSpan(uint32_t offset, uint32_t nbytes, bool is_store)
     {
-        uint32_t first = offset / lbfGranularity;
-        uint32_t last = (offset + nbytes - 1) / lbfGranularity;
+        uint32_t first = offset >> lbfShift;
+        uint32_t last = (offset + nbytes - 1) >> lbfShift;
         for (uint32_t u = first; u <= last; ++u) {
             if (lbf[u] != WordState::Unknown)
                 continue;
-            uint32_t unit_begin = u * lbfGranularity;
+            uint32_t unit_begin = u << lbfShift;
             bool full = is_store && offset <= unit_begin &&
-                        offset + nbytes >= unit_begin + lbfGranularity;
+                        offset + nbytes >= unit_begin + (1u << lbfShift);
             lbf[u] = full ? WordState::WriteDom : WordState::ReadDom;
         }
+    }
+
+    /** Byte `byte` of word `wi`. */
+    uint8_t
+    loadByte(uint32_t wi, unsigned byte) const
+    {
+        return static_cast<uint8_t>(data[wi] >> (8 * byte));
+    }
+
+    /** A store of `value` into word `wi` (the line is resident). */
+    void
+    storeWord(uint32_t wi, Word value)
+    {
+        data[wi] = value;
+        markDirty();
+        dirtyWordMask |= 1u << wi;
+    }
+
+    /** A store of one byte at byte offset `byte` of word `wi`. */
+    void
+    storeByte(uint32_t wi, unsigned byte, uint8_t value)
+    {
+        unsigned shift = 8 * byte;
+        storeWord(wi, (data[wi] & ~(0xffu << shift)) |
+                          (static_cast<Word>(value) << shift));
     }
 
     /** Word-granular convenience used by tests. */
@@ -191,24 +258,42 @@ class DataCache
     }
 
     /**
-     * Hit/miss bookkeeping and LRU refresh without the energy
-     * charge: the architecture access path batches the SRAM charge
-     * with the LBF charge into one sink call per access.
+     * lookup() without the energy charge: hit/miss bookkeeping and
+     * LRU refresh only, for a caller that charges the SRAM access
+     * itself.
      */
     CacheLine *
     lookupUncharged(Addr block_addr)
     {
         debug_assert((block_addr & blockMask) == 0,
                      "lookup of unaligned block address ", block_addr);
-        auto *line = const_cast<CacheLine *>(peek(block_addr));
-        if (line) {
-            line->lruTick = ++tick;
-            ++_hits;
-        } else {
-            ++_misses;
-        }
+        CacheLine *line = find(block_addr);
+        if (line)
+            noteHit(*line);
+        else
+            noteMiss();
         return line;
     }
+
+    /** peek() for a caller that goes on to use the line: still no
+     *  side effects; pair a hit with noteHit(), a miss with
+     *  noteMiss() (the access path charges in between). */
+    CacheLine *
+    find(Addr block_addr)
+    {
+        return const_cast<CacheLine *>(peek(block_addr));
+    }
+
+    /** Hit bookkeeping for a line find() returned: LRU refresh and
+     *  the hit count. */
+    void
+    noteHit(CacheLine &line)
+    {
+        line.lruTick = ++tick;
+        ++_hits;
+    }
+
+    void noteMiss() { ++_misses; }
 
     /**
      * The valid line holding a block, or nullptr, without side
@@ -238,13 +323,15 @@ class DataCache
 
     /**
      * Install a block into a line previously obtained from victim().
-     * Data is copied; LBF resets to Unknown; line becomes valid,
-     * clean, LRU-refreshed. Charges one SRAM access. Debug builds
-     * check the line is in the block's set and the block is not
-     * already cached elsewhere (the invariant peek() relies on).
+     * Data is copied unless it already sits in the line (the miss
+     * path fetches straight into line.data); LBF resets to Unknown;
+     * line becomes valid, clean, LRU-refreshed. Charges one SRAM
+     * access. Debug builds check the line is in the block's set and
+     * the block is not already cached elsewhere (the invariant peek()
+     * relies on).
      */
     void fill(CacheLine &line, Addr block_addr,
-              const std::vector<Word> &data);
+              std::span<const Word> data);
 
     /** Drop a line (no writeback). */
     void invalidate(CacheLine &line);

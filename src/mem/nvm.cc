@@ -27,6 +27,18 @@ Nvm::wearSlot(uint32_t idx)
     return (*chunk)[idx % kWearChunkWords];
 }
 
+void
+Nvm::bumpWear(uint32_t idx, uint32_t n)
+{
+    uint32_t *count = &wearSlot(idx);
+    for (uint32_t i = 0; i < n; ++i, ++count) {
+        if (*count == 0)
+            wornIdx.push_back(idx + i);
+        if (++*count > peakWear)
+            peakWear = *count;
+    }
+}
+
 uint32_t
 Nvm::wordIndex(Addr addr) const
 {
@@ -41,21 +53,59 @@ Nvm::wordIndex(Addr addr) const
 Word
 Nvm::readWord(Addr addr)
 {
-    ++reads;
-    sink.addCycles(tech.flashReadCycles);
-    sink.consume(tech.flashReadWordNj);
+    sink.chargeWords(1, tech.flashReadCycles, tech.flashReadWordNj,
+                     false, &reads);
     Word stored = peekWord(addr);
     if (!faults || !faults->enabled() || !faults->bitErrorsPossible())
         return stored;
     FaultInjector::ReadOutcome out = faults->applyReadFaults(addr,
                                                              stored);
     // Each bounded retry is a full re-read: charged like the first.
-    for (uint32_t i = 0; i < out.retries; ++i) {
-        ++reads;
-        sink.addCycles(tech.flashReadCycles);
-        sink.consume(tech.flashReadWordNj);
-    }
+    sink.chargeWords(out.retries, tech.flashReadCycles,
+                     tech.flashReadWordNj, false, &reads);
     return out.value;
+}
+
+void
+Nvm::readBlock(Addr addr, Word *out, uint32_t n)
+{
+    if (faults && faults->enabled() && faults->bitErrorsPossible()) {
+        for (uint32_t w = 0; w < n; ++w)
+            out[w] = readWord(addr + w * kWordBytes);
+        return;
+    }
+    // Reading first is safe: the charges below cannot touch NVM, and
+    // a brown-out among them leaves `reads` where readWord() would.
+    mem.readWords(addr, out, n);
+    sink.chargeWords(n, tech.flashReadCycles, tech.flashReadWordNj,
+                     false, &reads);
+}
+
+void
+Nvm::writeBlock(Addr addr, const Word *src, uint32_t n)
+{
+    if (tracer || (faults && faults->enabled())) {
+        // Persist points and NvmWrite events interleave with the
+        // charges word by word.
+        for (uint32_t w = 0; w < n; ++w)
+            writeWord(addr + w * kWordBytes, src[w]);
+        return;
+    }
+    uint32_t idx = wordIndex(addr);
+    uint64_t before = writes;
+    try {
+        sink.chargeWords(n, tech.flashWriteCycles, tech.flashWriteWordNj,
+                         false, &writes);
+    } catch (...) {
+        // Brown-out inside word k (k + 1 started): writeWord() would
+        // have worn words 0..k and landed words 0..k-1.
+        uint32_t started = static_cast<uint32_t>(writes - before);
+        bumpWear(idx, started);
+        mem.writeWords(addr, src, started - 1);
+        throw;
+    }
+    bumpWear(idx, n);
+    mem.writeWords(addr, src, n);
 }
 
 void
@@ -67,13 +117,8 @@ Nvm::writeWord(Addr addr, Word value)
     if (faults && faults->enabled())
         faults->persistPoint();
     ++writes;
-    uint32_t &count = wearSlot(idx);
-    if (count == 0)
-        wornIdx.push_back(idx);
-    if (++count > peakWear)
-        peakWear = count;
-    sink.addCycles(tech.flashWriteCycles);
-    sink.consume(tech.flashWriteWordNj);
+    bumpWear(idx, 1);
+    sink.chargeWords(1, tech.flashWriteCycles, tech.flashWriteWordNj);
     if (tracer) {
         // Changed-byte mask (bit i = byte i differs): the WAR-freedom
         // checker only cares about bytes a persist actually altered.
@@ -86,7 +131,7 @@ Nvm::writeWord(Addr addr, Word value)
     }
     pokeWord(addr, value);
     if (faults && faults->enabled())
-        faults->onWordWritten(addr, count);
+        faults->onWordWritten(addr, wearAt(idx));
 }
 
 Word
@@ -167,6 +212,7 @@ Nvm::saveState(StateWriter &w) const
     // Wear travels sparsely: (word index, wear) for worn words only.
     // The NVM is megabytes; the worn set is the write footprint.
     w.u64(wornIdx.size());
+    w.reserve(wornIdx.size() * 2 * sizeof(uint32_t));
     for (uint32_t i : wornIdx) {
         w.u32(i);
         w.u32(wearAt(i));

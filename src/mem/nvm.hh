@@ -64,6 +64,24 @@ class Nvm
     /** Accounted word write; bumps the wear counter. */
     void writeWord(Addr addr, Word value);
 
+    /**
+     * Accounted read of `n` consecutive words (one block: the run
+     * must not cross a 4 KiB page) into `out`. Counters, charges and
+     * the fault pipeline come out exactly as from n readWord() calls;
+     * without bit errors to sample, the block costs one bounds check,
+     * one page lookup and one sink call.
+     */
+    void readBlock(Addr addr, Word *out, uint32_t n);
+
+    /**
+     * Accounted write of `n` consecutive words (one block), leaving
+     * counters, wear, charges and contents exactly as n writeWord()
+     * calls would -- also when a brown-out cuts the block short. With
+     * no persist points to expose and no trace to record, it costs
+     * one bounds check, one page lookup and one sink call.
+     */
+    void writeBlock(Addr addr, const Word *src, uint32_t n);
+
     /** Unaccounted read (initialization / validation / tests). */
     Word peekWord(Addr addr) const;
 
@@ -190,6 +208,10 @@ class Nvm
 
     /** Wear counter of word `idx`, allocating its chunk if needed. */
     uint32_t &wearSlot(uint32_t idx);
+
+    /** One accounted write's wear for each of words idx..idx+n-1
+     *  (which share a chunk): counters, worn index and peak. */
+    void bumpWear(uint32_t idx, uint32_t n);
 };
 
 } // namespace nvmr

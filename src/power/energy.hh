@@ -226,6 +226,31 @@ class EnergySink
      * sink charges per-cycle core energy and integrates harvesting.
      */
     virtual void addCycles(Cycles n) = 0;
+
+    /**
+     * Charge `n` back-to-back NVM transfers: for each one, bump
+     * `*started` (when given), advance `cycles`, then consume `nj`
+     * (consumeOverhead() when `overhead`). A brown-out inside transfer
+     * k leaves `*started` counting transfers 0..k, exactly as the
+     * equivalent loop over the three calls above would. Memory
+     * components charge whole blocks through here, so a block costs
+     * one virtual call; the default body is that loop, and a sink
+     * that overrides it must keep its order of operations.
+     */
+    virtual void
+    chargeWords(uint64_t n, Cycles cycles, NanoJoules nj,
+                bool overhead = false, uint64_t *started = nullptr)
+    {
+        for (uint64_t i = 0; i < n; ++i) {
+            if (started)
+                ++*started;
+            addCycles(cycles);
+            if (overhead)
+                consumeOverhead(nj);
+            else
+                consume(nj);
+        }
+    }
 };
 
 /** Sink that ignores all spending (continuous/golden execution). */

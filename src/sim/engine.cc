@@ -9,19 +9,25 @@
  * engine-equivalence ctest checks both modes against the committed
  * digest table).
  *
- * Three layers of speedup, each with an exact bail-out:
+ * Four layers of speedup, each with an exact bail-out:
  *
  *  1. Predecoded ops (cpu/decoded.hh): no per-step field decode, no
  *     per-step register bounds checks, shift immediates pre-masked.
  *  2. Inlined per-instruction policy check (PolicyFastPath): the JIT
  *     threshold `backupCostNowNj()*margin + slackNj` is cached while
- *     nothing that can change the backup cost has run (every
+ *     nothing that can change the backup cost has run. Every
  *     backupCostNowNj() implementation is a pure function of state
- *     mutated only by memory traffic, task boundaries, backups,
- *     restores and power failures -- exactly the events that clear
- *     `costValid`). Stateful policies take reference mode: the
- *     virtual call after every instruction.
- *  3. Superblock fusion: a maximal straight-line run of ALU ops
+ *     that only cache misses (fills, evictions, renames, log appends
+ *     and the backups they trigger), clean-to-dirty stores, task
+ *     boundaries, backups, restores and power failures change --
+ *     exactly the events that clear `costValid`. A load hit or a
+ *     store to an already-dirty line keeps it. Stateful policies
+ *     take reference mode: the virtual call after every instruction.
+ *  3. Engine-resident cache hits: when the architecture's port is the
+ *     cache-fronted one, loads and stores run IntermittentArch's
+ *     inline hit routine with the simulator's inline charge, and
+ *     only misses leave the loop for the shared miss path.
+ *  4. Superblock fusion: a maximal straight-line run of ALU ops
  *     executes as one fused step with the capacitor energy, pending
  *     ledger and cycle counters held in registers. Fusion requires
  *     proof that per-instruction stepping would have done nothing
@@ -219,6 +225,34 @@ ThreadedEngine::session(unsigned &cancel_check)
         s.injector.cyclePoint(tot);
     };
 
+    // Memory ops: the cache hit runs inline here (charged through the
+    // simulator's inline charge()); a miss takes the architecture's
+    // shared miss path. The cached backup-cost threshold survives a
+    // hit unless the store turns a clean line dirty.
+    IntermittentArch &arch = *s.arch;
+    const bool inline_mem = arch.cacheFrontedPort();
+    const DataCache &dcache = arch.dataCache();
+    const auto hitCharge = [&](NanoJoules nj)
+#if defined(__GNUC__)
+        __attribute__((always_inline))
+#endif
+    { s.charge(nj, false); };
+    const auto cachedLine = [&](Addr a, uint32_t nbytes,
+                                bool is_store) -> CacheLine &
+#if defined(__GNUC__)
+        __attribute__((always_inline))
+#endif
+    {
+        if (CacheLine *line =
+                arch.accessHit(a, nbytes, is_store, hitCharge)) {
+            if (is_store && !line->dirty)
+                costValid = false;
+            return *line;
+        }
+        costValid = false;
+        return arch.accessMiss(a, nbytes, is_store);
+    };
+
 #if defined(__GNUC__) && !defined(NVMR_THREADED_SWITCH)
 #define NVMR_CGOTO 1
 #else
@@ -378,11 +412,17 @@ ThreadedEngine::session(unsigned &cancel_check)
     goto top;
 
   h_ld: {
-    const Word v =
-        port.loadWord(r[o->rs1] + static_cast<Word>(o->imm));
+    const Addr a = r[o->rs1] + static_cast<Word>(o->imm);
+    Word v;
+    if (inline_mem) {
+        panic_if(a % kWordBytes != 0, "misaligned load at ", a);
+        v = cachedLine(a, kWordBytes, false).data[dcache.wordIndex(a)];
+    } else {
+        v = port.loadWord(a);
+        costValid = false;
+    }
     if (o->rd != kRegZero)
         r[o->rd] = v;
-    costValid = false;
     ++pc;
     cpu._pc = pc;
     ++cpu._instret;
@@ -392,11 +432,17 @@ ThreadedEngine::session(unsigned &cancel_check)
   }
 
   h_ldb: {
-    const Word v =
-        port.loadByte(r[o->rs1] + static_cast<Word>(o->imm));
+    const Addr a = r[o->rs1] + static_cast<Word>(o->imm);
+    Word v;
+    if (inline_mem) {
+        v = cachedLine(a, 1, false).loadByte(dcache.wordIndex(a),
+                                             a & 3u);
+    } else {
+        v = port.loadByte(a);
+        costValid = false;
+    }
     if (o->rd != kRegZero)
         r[o->rd] = v;
-    costValid = false;
     ++pc;
     cpu._pc = pc;
     ++cpu._instret;
@@ -405,26 +451,40 @@ ThreadedEngine::session(unsigned &cancel_check)
     goto top;
   }
 
-  h_st:
-    port.storeWord(r[o->rs1] + static_cast<Word>(o->imm), r[o->rs2]);
-    costValid = false;
+  h_st: {
+    const Addr a = r[o->rs1] + static_cast<Word>(o->imm);
+    const Word v = r[o->rs2];
+    if (inline_mem) {
+        panic_if(a % kWordBytes != 0, "misaligned store at ", a);
+        cachedLine(a, kWordBytes, true).storeWord(dcache.wordIndex(a), v);
+    } else {
+        port.storeWord(a, v);
+        costValid = false;
+    }
     ++pc;
     cpu._pc = pc;
     ++cpu._instret;
     chargeCycles(o->cycles);
     policyAfterStep<M>();
     goto top;
+  }
 
-  h_stb:
-    port.storeByte(r[o->rs1] + static_cast<Word>(o->imm),
-                   static_cast<uint8_t>(r[o->rs2]));
-    costValid = false;
+  h_stb: {
+    const Addr a = r[o->rs1] + static_cast<Word>(o->imm);
+    const uint8_t v = static_cast<uint8_t>(r[o->rs2]);
+    if (inline_mem) {
+        cachedLine(a, 1, true).storeByte(dcache.wordIndex(a), a & 3u, v);
+    } else {
+        port.storeByte(a, v);
+        costValid = false;
+    }
     ++pc;
     cpu._pc = pc;
     ++cpu._instret;
     chargeCycles(o->cycles);
     policyAfterStep<M>();
     goto top;
+  }
 
   h_beq:
     taken = r[o->rs1] == r[o->rs2];

@@ -65,8 +65,9 @@ class ThreadedEngine
 
     /** Cached JIT fire threshold: backupCostNowNj()*margin + slackNj.
      *  Valid only while nothing that can change the backup cost has
-     *  happened (no memory traffic, backups, restores, or power
-     *  failures since it was computed). */
+     *  happened since it was computed: no cache miss, clean-to-dirty
+     *  store, task boundary, backup, restore or power failure (load
+     *  hits and stores to dirty lines keep it). */
     double rhs = 0;
     bool costValid = false;
 

@@ -209,6 +209,20 @@ Simulator::addCycles(Cycles n)
     injector.cyclePoint(totalCycles);
 }
 
+void
+Simulator::chargeWords(uint64_t n, Cycles cycles, NanoJoules nj,
+                       bool overhead, uint64_t *started)
+{
+    // EnergySink's loop with the calls bound statically, so a whole
+    // block's transfers inline into one call.
+    for (uint64_t i = 0; i < n; ++i) {
+        if (started)
+            ++*started;
+        Simulator::addCycles(cycles);
+        charge(nj, overhead);
+    }
+}
+
 // ----------------------------------------------------------------------
 // Backup orchestration
 // ----------------------------------------------------------------------

@@ -221,6 +221,8 @@ class Simulator : public EnergySink, public BackupHost
     void consume(NanoJoules nj) override;
     void consumeOverhead(NanoJoules nj) override;
     void addCycles(Cycles n) override;
+    void chargeWords(uint64_t n, Cycles cycles, NanoJoules nj,
+                     bool overhead, uint64_t *started) override;
 
     // ------------------------------------------------------------------
     // BackupHost (architectures trigger backups through here)

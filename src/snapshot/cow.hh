@@ -14,7 +14,9 @@
 #define NVMR_SNAPSHOT_COW_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -91,6 +93,42 @@ class CowStore
             p[i] = static_cast<uint8_t>(value >> (8 * i));
     }
 
+    /** `n` aligned words from `addr` into `out`, with one bounds
+     *  check and one page lookup: the run must not cross a page
+     *  (blocks never do -- kPageBytes is a multiple of any block). */
+    void
+    readWords(Addr addr, Word *out, uint32_t n) const
+    {
+        const uint8_t *p = wordRun(addr, n);
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(out, p, size_t{n} * kWordBytes);
+        } else {
+            for (uint32_t w = 0; w < n; ++w, p += kWordBytes) {
+                Word v = 0;
+                for (unsigned i = 0; i < kWordBytes; ++i)
+                    v |= static_cast<Word>(p[i]) << (8 * i);
+                out[w] = v;
+            }
+        }
+    }
+
+    /** The write counterpart of readWords(). */
+    void
+    writeWords(Addr addr, const Word *src, uint32_t n)
+    {
+        wordRun(addr, n);
+        size_t idx = addr / kPageBytes;
+        ensureOwned(idx);
+        uint8_t *p = &pages[idx]->data[addr % kPageBytes];
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(p, src, size_t{n} * kWordBytes);
+        } else {
+            for (uint32_t w = 0; w < n; ++w, p += kWordBytes)
+                for (unsigned i = 0; i < kWordBytes; ++i)
+                    p[i] = static_cast<uint8_t>(src[w] >> (8 * i));
+        }
+    }
+
     /** Bulk byte copy into the store (may span pages). */
     void writeBytes(Addr addr, const uint8_t *src, size_t n);
 
@@ -127,6 +165,18 @@ class CowStore
                  "misaligned COW store word access: ", addr);
         panic_if(uint64_t{addr} + kWordBytes > size,
                  "COW store access out of range: ", addr);
+    }
+
+    /** Check a run of `n` aligned words and return its first byte. */
+    const uint8_t *
+    wordRun(Addr addr, uint32_t n) const
+    {
+        checkWord(addr);
+        uint64_t end = uint64_t{addr} + uint64_t{n} * kWordBytes;
+        panic_if(end > size, "COW store access out of range: ", addr);
+        panic_if(n != 0 && (end - 1) / kPageBytes != addr / kPageBytes,
+                 "COW store word run crosses a page: ", addr);
+        return &pages[addr / kPageBytes]->data[addr % kPageBytes];
     }
 
     void

@@ -11,6 +11,7 @@
 #ifndef NVMR_SNAPSHOT_STATE_HH
 #define NVMR_SNAPSHOT_STATE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -29,8 +30,19 @@ class StateWriter
     void
     bytes(const void *src, size_t n)
     {
-        const uint8_t *p = static_cast<const uint8_t *>(src);
-        buf.insert(buf.end(), p, p + n);
+        if (len + n > buf.size())
+            grow(n);
+        std::memcpy(buf.data() + len, src, n);
+        len += n;
+    }
+
+    /** Make room for `n` more bytes up front (a caller about to write
+     *  a long run of small fields). */
+    void
+    reserve(size_t n)
+    {
+        if (len + n > buf.size())
+            grow(n);
     }
 
     template <typename T>
@@ -67,10 +79,25 @@ class StateWriter
             bytes(v.data(), v.size() * sizeof(T));
     }
 
-    std::vector<uint8_t> take() { return std::move(buf); }
+    std::vector<uint8_t>
+    take()
+    {
+        buf.resize(len);
+        len = 0;
+        return std::move(buf);
+    }
 
   private:
+    /** The blob's bytes are buf[0, len); buf grows geometrically ahead
+     *  of them, so a field costs a bounds compare and a memcpy. */
     std::vector<uint8_t> buf;
+    size_t len = 0;
+
+    void
+    grow(size_t n)
+    {
+        buf.resize(std::max(len + n, 2 * buf.size() + 4096));
+    }
 };
 
 /** Bounds-checked reader over a StateWriter blob. */

@@ -1,14 +1,15 @@
-# Command-line contract of the campaign tools (docs/operations.md,
-# "Exit codes"): `--help` prints usage and exits 0; a typo, a
-# malformed number or an invalid sweep grid exits 2 before the
-# campaign starts, so no journal file is created.
+# Command-line contract of the tools (docs/operations.md, "Exit
+# codes"): `--help` prints usage and exits 0; a typo, a malformed
+# number or an invalid sweep grid exits 2 before the campaign starts,
+# so no journal file is created.
 #
 # Invoked by the `cli-usage` ctest:
 #
-#   cmake -DSWEEP=... -DFUZZ=... -DSERVE=... -DWORKDIR=... \
+#   cmake -DSWEEP=... -DFUZZ=... -DSERVE=... -DSIM=... -DCRASHTEST=... \
+#         -DDIFF=... -DTRAIN=... -DKILLER=... -DWORKDIR=... \
 #         -P cli_usage.cmake
 
-foreach(var SWEEP FUZZ SERVE WORKDIR)
+foreach(var SWEEP FUZZ SERVE SIM CRASHTEST DIFF TRAIN KILLER WORKDIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "pass -D${var}=... (see tests/CMakeLists.txt)")
     endif()
@@ -44,6 +45,36 @@ endfunction()
 expect_exit(0 "nvmr_sweep:" "${SWEEP}" --help)
 expect_exit(0 "nvmr_fuzz:" "${FUZZ}" --help)
 expect_exit(0 "nvmr_serve:" "${SERVE}" --help)
+expect_exit(0 "nvmr_sim:" "${SIM}" --help)
+expect_exit(0 "nvmr_crashtest:" "${CRASHTEST}" --help)
+expect_exit(0 "nvmr_diff:" "${DIFF}" --help)
+expect_exit(0 "nvmr_train:" "${TRAIN}" --help)
+expect_exit(0 "nvmr_killer:" "${KILLER}" --help)
+
+# Malformed numbers used to parse as their leading digits (or 0) and
+# run: `--seed 7x` ran with seed 7, `--stride abc` with stride 1.
+foreach(bad "--seed;7x" "--period;8k" "--cap;0.1x" "--map-table;-4"
+        "--crash-at-cycle;1e6")
+    expect_exit(2 "fatal:" "${SIM}" -w hist ${bad})
+endforeach()
+foreach(bad
+        "--max-backups;1x"
+        "--stride;abc;--cycle-samples;0"
+        "--cycle-samples;x"
+        "--seed;-1"
+        "--snap-stride;4.5"
+        "--verify-fork;two")
+    expect_exit(2 "fatal:" "${CRASHTEST}" -w hist -a nvmr ${bad}
+                --journal "${journal}")
+endforeach()
+foreach(bad "--seed;7x" "--schedules;1e3")
+    expect_exit(2 "fatal:" "${DIFF}" --smoke ${bad} --journal "${journal}")
+endforeach()
+expect_exit(2 "fatal:" "${TRAIN}" "${WORKDIR}/never.model" --cap 0.1x
+            --journal "${journal}")
+foreach(bad "--seed;7x" "--min-kills;five" "--max-restarts;2x")
+    expect_exit(2 "fatal:" "${KILLER}" ${bad} -- "${SWEEP}")
+endforeach()
 
 # Invalid sweep grids: each used to run (or die mid-campaign).
 foreach(bad
@@ -77,4 +108,5 @@ endforeach()
 expect_exit(2 "fatal:" "${SERVE}" --spool "${WORKDIR}" --poll-ms 5x)
 expect_exit(2 "fatal:" "${SERVE}" --bogus)
 
-message(STATUS "cli usage: --help, typos and invalid grids OK")
+message(STATUS
+        "cli usage: --help, typos, malformed numbers and invalid grids OK")

@@ -15,6 +15,36 @@ namespace nvmr
 namespace
 {
 
+TEST(AssemblerErrors, SpaceBeyondTheNvmIsRejected)
+{
+    // Used to attempt the allocation and die of std::bad_alloc.
+    EXPECT_EXIT(assemble("t", ".data\nbuf: .space 1099511627776\n"
+                              ".text\nhalt\n"),
+                ::testing::ExitedWithCode(2), "t.asm:2: .space grows");
+}
+
+TEST(AssemblerErrors, RandBeyondTheNvmIsRejected)
+{
+    EXPECT_EXIT(assemble("t", ".data\nr: .rand 4611686018427387904 1 0 "
+                              "9\n.text\nhalt\n"),
+                ::testing::ExitedWithCode(2), "t.asm:2: .rand grows");
+}
+
+TEST(AssemblerErrors, SegmentsUpToTheNvmStillAssemble)
+{
+    // Exactly the NVM, split across directives: accepted. One byte
+    // more is not.
+    Program p = assemble("t", ".data\na: .space 2097148\n"
+                              "b: .rand 1 1 0 9\n.text\nhalt\n");
+    EXPECT_EQ(p.data.size(), kMaxDataBytes);
+    EXPECT_EXIT(assemble("t", ".data\na: .space 2097152\n"
+                              ".align 3\n.text\nhalt\n"),
+                ::testing::ExitedWithCode(2), "t.asm:3: .align grows");
+    EXPECT_EXIT(assemble("t", ".data\na: .space 2097152\n"
+                              "b: .word 1\n.text\nhalt\n"),
+                ::testing::ExitedWithCode(2), "t.asm:3: .word grows");
+}
+
 TEST(AssemblerErrors, UnknownMnemonic)
 {
     EXPECT_EXIT(assemble("t", "frobnicate r1, r2\n"),

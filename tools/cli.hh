@@ -42,6 +42,16 @@ parseU64(const char *v, const std::string &what)
     return out;
 }
 
+/** parseU64() for a 32-bit field: larger values die too. */
+inline uint32_t
+parseU32(const char *v, const std::string &what)
+{
+    uint64_t out = parseU64(v, what);
+    fatal_if(out > UINT32_MAX, "bad value '", v, "' for ", what,
+             " (at most ", UINT32_MAX, ")");
+    return static_cast<uint32_t>(out);
+}
+
 /** Parse a number; trailing garbage dies naming `what`. */
 inline double
 parseDouble(const char *v, const std::string &what)

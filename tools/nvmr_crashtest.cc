@@ -137,9 +137,9 @@ crashConfig()
 }
 
 RunResult
-runOnce(const Program &prog, ArchKind arch, const FaultConfig &faults,
-        const GoldenImage &golden, bool *matched,
-        uint64_t budget_cycles = 0,
+runOnce(const Program &prog, ArchKind arch, const HarvestTrace &trace,
+        const FaultConfig &faults, const GoldenImage &golden,
+        bool *matched, uint64_t budget_cycles = 0,
         const MachineSnapshot *from = nullptr,
         std::vector<uint8_t> *image_out = nullptr)
 {
@@ -148,7 +148,6 @@ runOnce(const Program &prog, ArchKind arch, const FaultConfig &faults,
     spec.kind = PolicyKind::Watchdog;
     spec.watchdogPeriod = 4000;
     auto policy = makePolicy(spec);
-    HarvestTrace trace(TraceKind::Rf, 7, 8.0);
     RunOptions opts;
     opts.validate = false;
     opts.faults = faults;
@@ -232,6 +231,9 @@ exploreCombo(campaign::Campaign &cam, const std::string &workload,
              ArchKind arch, const Options &opt, ComboReport &report)
 {
     std::string tag = workload + "/" + archKindName(arch);
+    // Every run of the combo uses this trace; it is read-only, so the
+    // crash-point workers share one instance.
+    const HarvestTrace trace(TraceKind::Rf, 7, 8.0);
     std::string census_stage = tag + "/census";
     std::string points_stage = tag + "/points";
 
@@ -267,7 +269,6 @@ exploreCombo(campaign::Campaign &cam, const std::string &workload,
             spec.kind = PolicyKind::Watchdog;
             spec.watchdogPeriod = 4000;
             auto policy = makePolicy(spec);
-            HarvestTrace trace(TraceKind::Rf, 7, 8.0);
             RunOptions opts;
             opts.validate = false;
             FaultConfig census_faults;
@@ -350,7 +351,6 @@ exploreCombo(campaign::Campaign &cam, const std::string &workload,
         spec.kind = PolicyKind::Watchdog;
         spec.watchdogPeriod = 4000;
         auto policy = makePolicy(spec);
-        HarvestTrace trace(TraceKind::Rf, 7, 8.0);
         RunOptions opts;
         opts.validate = false;
         FaultConfig ref_faults;
@@ -387,7 +387,7 @@ exploreCombo(campaign::Campaign &cam, const std::string &workload,
             bool matched = false;
             const MachineSnapshot *from =
                 nearestSnapshot(snaps, cp);
-            RunResult r = runOnce(prog, arch, faults, *golden,
+            RunResult r = runOnce(prog, arch, trace, faults, *golden,
                                   &matched, ctx.budgetCycles, from);
             if (ctx.budgetCycles && !r.completed)
                 throw campaign::CellTimeout{
@@ -420,10 +420,11 @@ exploreCombo(campaign::Campaign &cam, const std::string &workload,
             faults.crashAtCycle = cp.cycle;
             bool m_fork = false, m_scratch = false;
             std::vector<uint8_t> img_fork, img_scratch;
-            RunResult r_fork = runOnce(prog, arch, faults, *golden,
-                                       &m_fork, 0, from, &img_fork);
+            RunResult r_fork =
+                runOnce(prog, arch, trace, faults, *golden, &m_fork, 0,
+                        from, &img_fork);
             RunResult r_scratch =
-                runOnce(prog, arch, faults, *golden, &m_scratch, 0,
+                runOnce(prog, arch, trace, faults, *golden, &m_scratch, 0,
                         nullptr, &img_scratch);
             ++verified;
             if (sameRun(r_fork, r_scratch) &&
@@ -513,26 +514,25 @@ main(int argc, char **argv)
             for (const std::string &n : cli::splitList(need(i)))
                 opt.archs.push_back(parseArch(n));
         } else if (a == "--max-backups") {
-            opt.maxBackups = std::strtoull(need(i), nullptr, 10);
+            opt.maxBackups = cli::parseU64(need(i), a);
         } else if (a == "--stride") {
-            opt.stride = std::max<uint64_t>(
-                1, std::strtoull(need(i), nullptr, 10));
+            opt.stride =
+                std::max<uint64_t>(1, cli::parseU64(need(i), a));
         } else if (a == "--cycle-samples") {
-            opt.cycleSamples = std::strtoull(need(i), nullptr, 10);
+            opt.cycleSamples = cli::parseU64(need(i), a);
         } else if (a == "--seed") {
-            opt.seed = std::strtoull(need(i), nullptr, 10);
+            opt.seed = cli::parseU64(need(i), a);
         } else if (a == "--snap-stride") {
-            opt.snapStride = std::max<uint64_t>(
-                1, std::strtoull(need(i), nullptr, 10));
+            opt.snapStride =
+                std::max<uint64_t>(1, cli::parseU64(need(i), a));
         } else if (a == "--verify-fork") {
-            opt.verifyFork = std::strtoull(need(i), nullptr, 10);
+            opt.verifyFork = cli::parseU64(need(i), a);
         } else if (a == "--no-fork") {
             opt.noFork = true;
         } else if (a == "--jobs" || a == "--threads") {
             // --threads predates the engine; 0 keeps the old
             // "use all cores" meaning (the engine's default).
-            opt.jobs = static_cast<unsigned>(
-                std::strtoul(need(i), nullptr, 10));
+            opt.jobs = cli::parseU32(need(i), a);
             par::setGlobalJobs(opt.jobs);
         } else if (a == "--smoke") {
             opt.workloads = {"hist", "qsort"};

@@ -342,6 +342,29 @@ shrink(const std::string &in_path, const std::string &out_path)
     return 0;
 }
 
+void
+usage()
+{
+    std::puts(
+        "nvmr_diff: differential oracle -- every architecture must\n"
+        "recover the golden final state under adversarial crash\n"
+        "schedules\n"
+        "\n"
+        "  --schedules N         schedules per architecture "
+        "(default 1000)\n"
+        "  --seed N              program and schedule seed "
+        "(default 1)\n"
+        "  --arch NAME           one architecture only\n"
+        "  --smoke               one schedule per architecture (CI)\n"
+        "  --replay FILE         re-run a saved .repro\n"
+        "  --shrink FILE [OUT]   minimize a .repro (default "
+        "FILE.min)\n"
+        "  --bug NAME            seeded bug: rename_alias | "
+        "freelist_leak\n"
+        "  --stats-json FILE     write the campaign manifest as JSON");
+    std::puts(cli::kCampaignFlagsHelp);
+}
+
 } // namespace
 
 int
@@ -368,10 +391,9 @@ main(int argc, char **argv)
         } else if (cli::handleCampaignArg(argc, argv, i, copts)) {
         } else if (cli::handleTelemetryArg(argc, argv, i, topts)) {
         } else if (std::strcmp(argv[i], "--schedules") == 0) {
-            per_arch = static_cast<uint32_t>(
-                std::strtoul(need("--schedules"), nullptr, 10));
+            per_arch = cli::parseU32(need("--schedules"), "--schedules");
         } else if (std::strcmp(argv[i], "--seed") == 0) {
-            seed = std::strtoull(need("--seed"), nullptr, 10);
+            seed = cli::parseU64(need("--seed"), "--seed");
         } else if (std::strcmp(argv[i], "--arch") == 0) {
             only_arch = need("--arch");
         } else if (std::strcmp(argv[i], "--stats-json") == 0) {
@@ -395,7 +417,12 @@ main(int argc, char **argv)
             else
                 fatal("unknown --bug ", v,
                       " (rename_alias | freelist_leak)");
+        } else if (std::strcmp(argv[i], "-h") == 0 ||
+                   std::strcmp(argv[i], "--help") == 0) {
+            usage();
+            return 0;
         } else {
+            usage();
             fatal("unknown argument ", argv[i]);
         }
     }

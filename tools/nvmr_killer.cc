@@ -38,6 +38,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -47,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "common/xorshift.hh"
 
 using nvmr::XorShift;
@@ -390,6 +392,29 @@ runServeScenario(const std::vector<std::string> &victim,
     return -1;
 }
 
+void
+usage(FILE *out)
+{
+    std::fputs(
+        "nvmr_killer: crash-resume self-test -- SIGKILL a journaled\n"
+        "campaign at random points, resume it, and require output\n"
+        "byte-identical to an uninterrupted run\n"
+        "\n"
+        "usage: nvmr_killer [options] -- TOOL ARGS...\n"
+        "       nvmr_killer --serve [options] -- nvmr_serve --spool "
+        "DIR\n"
+        "\n"
+        "  --seed N              kill-point seed (default 1)\n"
+        "  --min-kills N         kills required per scenario "
+        "(default 5)\n"
+        "  --max-restarts N      restart limit per scenario "
+        "(default 25)\n"
+        "  --serve               the victim is nvmr_serve\n"
+        "\n"
+        "NVMR_KILLER_DIR sets the scratch directory (default .).\n",
+        out);
+}
+
 } // namespace
 
 int
@@ -415,23 +440,30 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (a == "--seed")
-            seed = std::strtoull(need(), nullptr, 10);
-        else if (a == "--min-kills")
-            min_kills = std::atoi(need());
-        else if (a == "--max-restarts")
-            max_restarts = std::atoi(need());
-        else if (a == "--serve")
+        // Counts past INT_MAX mean "unbounded"; clamp them.
+        auto count = [&]() {
+            return static_cast<int>(std::min<uint64_t>(
+                nvmr::cli::parseU64(need(), a), INT_MAX));
+        };
+        if (a == "--seed") {
+            seed = nvmr::cli::parseU64(need(), a);
+        } else if (a == "--min-kills") {
+            min_kills = count();
+        } else if (a == "--max-restarts") {
+            max_restarts = count();
+        } else if (a == "--serve") {
             serve_mode = true;
-        else {
+        } else if (a == "-h" || a == "--help") {
+            usage(stdout);
+            return 0;
+        } else {
             std::fprintf(stderr, "unknown argument %s\n", a.c_str());
+            usage(stderr);
             return 2;
         }
     }
     if (victim.empty()) {
-        std::fprintf(stderr,
-                     "usage: nvmr_killer [--seed N] [--min-kills N] "
-                     "[--serve] -- TOOL ARGS...\n");
+        usage(stderr);
         return 2;
     }
 

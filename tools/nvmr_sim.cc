@@ -122,39 +122,33 @@ main(int argc, char **argv)
         } else if (a == "-p" || a == "--policy") {
             policy_kind = cli::parsePolicyKind(need(i));
         } else if (a == "--period") {
-            period = std::strtoull(need(i), nullptr, 10);
+            period = cli::parseU64(need(i), a);
         } else if (a == "--cap") {
-            cap = std::strtod(need(i), nullptr);
+            cap = cli::parseDouble(need(i), a);
         } else if (a == "--trace") {
             kind = cli::parseTraceKind(need(i));
         } else if (a == "--seed") {
-            seed = std::strtoull(need(i), nullptr, 10);
+            seed = cli::parseU64(need(i), a);
         } else if (a == "--mean") {
-            mean = std::strtod(need(i), nullptr);
+            mean = cli::parseDouble(need(i), a);
         } else if (a == "--map-table") {
-            cfg.mapTableEntries =
-                static_cast<uint32_t>(std::strtoul(need(i), nullptr,
-                                                   10));
+            cfg.mapTableEntries = cli::parseU32(need(i), a);
         } else if (a == "--mt-cache") {
-            cfg.mtCacheEntries =
-                static_cast<uint32_t>(std::strtoul(need(i), nullptr,
-                                                   10));
+            cfg.mtCacheEntries = cli::parseU32(need(i), a);
         } else if (a == "--reclaim") {
             cfg.reclaimEnabled = true;
         } else if (a == "--strict-atomic") {
             cfg.strictAtomic = true;
         } else if (a == "--crash-at-persist") {
             opts.faults.enabled = true;
-            opts.faults.crashAtPersist =
-                std::strtoull(need(i), nullptr, 10);
+            opts.faults.crashAtPersist = cli::parseU64(need(i), a);
         } else if (a == "--crash-at-cycle") {
             opts.faults.enabled = true;
-            opts.faults.crashAtCycle =
-                std::strtoull(need(i), nullptr, 10);
+            opts.faults.crashAtCycle = cli::parseU64(need(i), a);
         } else if (a == "--ber") {
             opts.faults.enabled = true;
             opts.faults.transientBitErrorRate =
-                std::strtod(need(i), nullptr);
+                cli::parseDouble(need(i), a);
         } else if (a == "--model") {
             model_path = need(i);
         } else if (a == "--no-validate") {

@@ -36,6 +36,29 @@
 
 using namespace nvmr;
 
+namespace
+{
+
+void
+usage()
+{
+    std::puts(
+        "nvmr_train: train a Spendthrift backup-policy model\n"
+        "\n"
+        "usage: nvmr_train OUT.model [options]\n"
+        "\n"
+        "  -a, --arch NAME       clank | nvmr | hoop | clank_original "
+        "(default clank)\n"
+        "  -w, --workloads A,B   training workloads "
+        "(default hist,dwt,adpcm_encode)\n"
+        "  --cap F               capacitor size in farads "
+        "(default 0.0075)\n"
+        "  --stats-json FILE     write the run manifest as JSON");
+    std::puts(cli::kCampaignFlagsHelp);
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
@@ -73,10 +96,14 @@ main(int argc, char **argv)
             while (std::getline(ss, item, ','))
                 workloads.push_back(item);
         } else if (a == "--cap") {
-            cap = std::strtod(need(i), nullptr);
+            cap = cli::parseDouble(need(i), a);
         } else if (a == "--stats-json") {
             stats_json_path = need(i);
+        } else if (a == "-h" || a == "--help") {
+            usage();
+            return 0;
         } else if (a[0] == '-') {
+            usage();
             fatal("unknown argument '", a, "'");
         } else {
             out_path = a;
